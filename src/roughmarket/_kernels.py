@@ -1,21 +1,14 @@
-"""Hot numeric kernels: variation DP, mesh-constrained DP, dyadic grid trading.
+"""Hot numeric kernels: the variation DP and dyadic grid trading.
 
-The two DP kernels each have two implementations with identical semantics:
+Every kernel is vectorized numpy.  The variation DP, which also serves the
+mesh-constrained variation, keeps one Python loop over the right end of a
+partition step and reduces over its left ends with numpy.
 
-* a loop form compiled with numba ``@njit`` (used by default when numba
-  imports cleanly), and
-* a vectorized pure-numpy form.
-
-Set ``ROUGHMARKET_NUMBA=0`` in the environment to force the numpy path.
-Callers may also pass ``backend="numpy"`` / ``backend="numba"`` explicitly,
-which is how the benchmark and the backend-equality tests exercise both.
-
-The dyadic grid kernel has one closed-form numpy implementation on every
-backend: after each sample, every cell's state is fixed by where the price
-sits relative to the cell's band, except for the one cell whose band
-strictly contains the price, whose state is carried from the sample before
-the price entered that band.  It runs in O(n) per scale, whatever the number
-of cells.
+The dyadic grid kernel is closed-form: after each sample, every cell's state
+is fixed by where the price sits relative to the cell's band, except for the
+one cell whose band strictly contains the price, whose state is carried from
+the sample before the price entered that band.  It runs in O(n) per scale,
+whatever the number of cells.
 
 Dyadic arithmetic note: grid scales are powers of two, so ``x * 2**j`` is an
 exponent shift and exact in float64.  Cell-boundary comparisons inside the
@@ -25,70 +18,15 @@ grid kernel therefore involve no rounding.
 from __future__ import annotations
 
 import math
-import os
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "default_backend",
+    "psi_np",
     "var_dp",
-    "qvar_dp",
     "doob_grid_trace",
-    "warmup",
 ]
-
-PHI_POWER = 0
-PHI_PSI = 1
-
-_env = os.environ.get("ROUGHMARKET_NUMBA", "").strip().lower()
-_NUMBA_DISABLED = _env in ("0", "off", "false", "no")
-
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def default_backend() -> str:
-    return "numba" if (HAVE_NUMBA and not _NUMBA_DISABLED) else "numpy"
-
-
-def _resolve(backend: str | None) -> str:
-    if backend is None:
-        return default_backend()
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return backend
-
-
-# ---------------------------------------------------------------------------
-# scalar gauges
-
-
-def _psi_scalar(u: float) -> float:
-    """u^2 / (2 * lnstar(lnstar(u))) with lnstar(u) = max(1, |ln u|); 0 at 0."""
-    if u <= 0.0:
-        return 0.0
-    lu = abs(math.log(u))
-    if lu < 1.0:
-        lu = 1.0
-    llu = math.log(lu)  # lu >= 1 so log >= 0
-    if llu < 1.0:
-        llu = 1.0
-    return u * u / (2.0 * llu)
 
 
 def psi_np(u):
@@ -103,109 +41,34 @@ def psi_np(u):
     return out
 
 
-def _phi_np(d, kind: int, p: float):
-    if kind == PHI_POWER:
-        return d**p
-    return psi_np(d)
-
-
 # ---------------------------------------------------------------------------
-# variation DP: best[i] = max_{j<i} best[j] + phi(|x_i - x_j|)
+# variation DP: best[i] = max_{first[i] <= j < i} best[j] + gauge(|x_i - x_j|)
 
 
-def _var_dp_loop(values, kind, p):
-    n = values.shape[0]
-    best = np.empty(n, dtype=np.float64)
-    best[0] = 0.0
-    for i in range(1, n):
-        xi = values[i]
-        m = -1.0
-        for j in range(i):
-            d = xi - values[j]
-            if d < 0.0:
-                d = -d
-            if kind == PHI_POWER:
-                v = best[j] + d**p
-            else:
-                v = best[j] + _psi_scalar(d)
-            if v > m:
-                m = v
-        best[i] = m
-    return best[n - 1]
+def var_dp(
+    values: np.ndarray,
+    gauge: Callable[[np.ndarray], np.ndarray],
+    first: np.ndarray | None = None,
+) -> float:
+    """Supremum over index chains 0 -> n-1 of the summed gauge of increments.
 
-
-def _var_dp_numpy(values, kind, p):
-    n = values.shape[0]
-    best = np.empty(n, dtype=np.float64)
-    best[0] = 0.0
-    for i in range(1, n):
-        d = np.abs(values[i] - values[:i])
-        best[i] = np.max(best[:i] + _phi_np(d, kind, p))
-    return best[n - 1]
-
-
-def var_dp(values: np.ndarray, kind: int, p: float, backend: str | None = None) -> float:
+    ``gauge`` maps an array of nonnegative increments to their gauge values.
+    ``first[i]``, when given, is the smallest index a chain may step from
+    into ``i`` (nondecreasing, ``first[i] < i``); by default any ``j < i``.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape[0] < 2:
+    n = values.shape[0]
+    if n < 2:
         return 0.0
-    if _resolve(backend) == "numba":
-        return float(_var_dp_numba(values, kind, p))
-    return float(_var_dp_numpy(values, kind, p))
-
-
-# ---------------------------------------------------------------------------
-# mesh-constrained DP for the psi gauge.
-#
-# A transition j -> i is feasible iff a partition of [0,T] with mesh < delta
-# can evaluate the step path at consecutive points carrying values x_j then
-# x_i.  Landing anywhere in block j and departing just before times[j+1], the
-# condition is times[i] - times[j+1] < delta; adjacent blocks always qualify.
-
-
-def _qvar_dp_loop(times, values, delta):
-    n = values.shape[0]
+    if first is None:
+        first = np.zeros(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
     best[0] = 0.0
-    lo = 0
     for i in range(1, n):
-        ti = times[i]
-        while times[lo + 1] <= ti - delta:
-            lo += 1
-        xi = values[i]
-        m = -1.0
-        for j in range(lo, i):
-            d = xi - values[j]
-            if d < 0.0:
-                d = -d
-            v = best[j] + _psi_scalar(d)
-            if v > m:
-                m = v
-        best[i] = m
-    return best[n - 1]
-
-
-def _qvar_dp_numpy(times, values, delta):
-    n = values.shape[0]
-    best = np.empty(n, dtype=np.float64)
-    best[0] = 0.0
-    lo = 0
-    for i in range(1, n):
-        ti = times[i]
-        while times[lo + 1] <= ti - delta:
-            lo += 1
+        lo = first[i]
         d = np.abs(values[i] - values[lo:i])
-        best[i] = np.max(best[lo:i] + psi_np(d))
-    return best[n - 1]
-
-
-def qvar_dp(times: np.ndarray, values: np.ndarray, delta: float, backend: str | None = None) -> float:
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape[0] < 2:
-        return 0.0
-    if _resolve(backend) == "numba":
-        return float(_qvar_dp_numba(times, values, delta))
-    return float(_qvar_dp_numpy(times, values, delta))
+        best[i] = np.max(best[lo:i] + gauge(d))
+    return float(best[n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +90,14 @@ def qvar_dp(times: np.ndarray, values: np.ndarray, delta: float, backend: str | 
 # Cost is O(n) per scale, independent of k_cap.
 
 
-def doob_grid_trace(
-    values: np.ndarray, j_exp: int, k_cap: int, backend: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def doob_grid_trace(values: np.ndarray, j_exp: int, k_cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample aggregate capital and held-unit count of a dyadic cell grid.
 
     ``j_exp`` is the scale exponent (cell height ``2**-j_exp``; may be
     negative), ``k_cap`` the number of cells simulated, ``k = 0..k_cap-1``.
     The capital of all cells counts initial cash ``k * 2**-j_exp`` each,
-    realized gains and the mark-to-market of held units.  The kernel is
-    closed-form on every backend; ``backend`` is validated only.
+    realized gains and the mark-to-market of held units.
     """
-    _resolve(backend)
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
     if k_cap <= 0:
@@ -260,27 +119,3 @@ def doob_grid_trace(
     pnl[1:] = held[:-1] * np.diff(values)
     agg = np.cumsum(pnl) + math.ldexp(k_cap * (k_cap - 1) / 2.0, -j_exp)
     return agg, held
-
-
-# ---------------------------------------------------------------------------
-# compiled twins
-
-if HAVE_NUMBA:
-    _psi_scalar = _njit(cache=True)(_psi_scalar)
-    _var_dp_numba = _njit(cache=True)(_var_dp_loop)
-    _qvar_dp_numba = _njit(cache=True)(_qvar_dp_loop)
-else:  # pragma: no cover
-    _var_dp_numba = _var_dp_loop
-    _qvar_dp_numba = _qvar_dp_loop
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed runs measure the algorithms only."""
-    if default_backend() != "numba":
-        return
-    v = np.array([1.0, 0.5, 1.5, 0.25], dtype=np.float64)
-    t = np.array([0.0, 0.25, 0.5, 1.0], dtype=np.float64)
-    var_dp(v, PHI_POWER, 2.0)
-    var_dp(v, PHI_PSI, 0.0)
-    qvar_dp(t, v, 0.3)
-    doob_grid_trace(v, 2, 8)

@@ -8,8 +8,8 @@ generate : write a path file from a generator spec
 run : execute a config-driven experiment suite
 emit-plot : extract a two-column series from a report
 
-Only the log verbosity is read from the environment (ROUGHMARKET_LOG);
-kernel backend selection via ROUGHMARKET_NUMBA is a library concern.
+Only the log verbosity is read from the environment (ROUGHMARKET_LOG).
+Exit codes: 0 pass, 1 a check or case failed, 2 bad input.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import logging
 import os
 import sys
 from pathlib import Path
-
 
 from ._version import __version__
 from .errors import RoughMarketError
@@ -34,15 +33,21 @@ from .experiments import (
 from .mixtures import run_mixture, unboundedness_mixture, verify_prop3_bound
 from .paths import GeneratorSpec, generate, read_path, write_path
 from .strategies import (
-    AtIndex,
-    SimpleStrategy,
+    AUDIT_STRATEGIES,
+    audit_strategy,
     borrowing_free_check,
-    clairvoyant_strategy,
     doob_strategy,
     run_simple,
     upper_prob_singleton,
 )
-from .variation import VariationFunctional, crossings, grid_crossings, qvar_profile, var_phi
+from .variation import (
+    VariationFunctional,
+    band_count,
+    crossings,
+    grid_crossings,
+    qvar_profile,
+    var_phi,
+)
 
 log = logging.getLogger("roughmarket")
 
@@ -82,12 +87,9 @@ def _cmd_crossings(args) -> int:
     if args.step is not None:
         lines = ["k,up,down"]
         h = args.step
-        sup = path.sup
-        k = 0
-        while k * h <= sup:
+        for k in range(band_count(path.sup, h)):
             c = crossings(path, k * h, (k + 1) * h)
             lines.append(f"{k},{c.up},{c.down}")
-            k += 1
         total = grid_crossings(path, h)
         log.info("totals: up=%d down=%d", total.up, total.down)
     else:
@@ -169,24 +171,9 @@ def _cmd_upper_prob(args) -> int:
     return 0
 
 
-def _make_audit_strategy(name: str, path, a: float, b: float) -> SimpleStrategy:
-    if name == "doob":
-        return doob_strategy(a, b)
-    if name == "clairvoyant":
-        return clairvoyant_strategy(path)[0]
-    if name == "short":
-        return SimpleStrategy(1.0, ((AtIndex(0), -1.0),), descriptor="short")
-    if name == "leveraged":
-        h = 2.0 / path.values[0]
-        return SimpleStrategy(
-            1.0, ((AtIndex(0), h),), descriptor="leveraged", position_bound=max(h, 1.0)
-        )
-    raise RoughMarketError(f"unknown strategy {name!r}")
-
-
 def _cmd_borrow_check(args) -> int:
     path = read_path(args.path)
-    strat = _make_audit_strategy(args.strategy, path, args.a, args.b)
+    strat = audit_strategy(args.strategy, path, args.a, args.b)
     rep = borrowing_free_check(strat, path)
     payload = {"strategy": strat.describe(), "ok": rep.ok}
     if not rep.ok:
@@ -219,7 +206,7 @@ def _cmd_unbounded(args) -> int:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(Path(args.config).read_text())
-    report = run_experiment(config, jobs=args.jobs)
+    report = run_experiment(config)
     if args.out:
         where = write_report(report, args.out)
         log.info("report written to %s", where)
@@ -306,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("borrow-check", help="no-borrowing audit of a strategy")
     p.add_argument("--path", required=True)
-    p.add_argument(
-        "--strategy", default="doob", choices=["doob", "clairvoyant", "short", "leveraged"]
-    )
+    p.add_argument("--strategy", default="doob", choices=AUDIT_STRATEGIES)
     p.add_argument("--a", type=float, default=0.25)
     p.add_argument("--b", type=float, default=0.75)
     p.add_argument("--out")
@@ -323,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a config-driven experiment suite")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("emit-plot", help="two-column CSV for a report series")

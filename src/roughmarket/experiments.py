@@ -2,8 +2,8 @@
 
 All randomness flows through the explicit seed list in the config; the
 canonical report serialization contains no volatile fields, so identical
-(config, version) pairs produce identical bytes.  Wall time and backend are
-written to a sidecar instead.
+(config, version) pairs produce identical bytes.  Wall time is written to a
+sidecar instead.
 """
 
 from __future__ import annotations
@@ -12,22 +12,19 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._kernels import default_backend
 from ._version import __version__
 from .errors import CaseFailure, ConfigError, UnknownSeries
 from .mixtures import run_mixture, verify_prop3_bound, volatility_mixture
 from .paths import GeneratorSpec, PricePath, discretize, generate
 from .strategies import (
-    AtIndex,
-    SimpleStrategy,
+    AUDIT_STRATEGIES,
+    audit_strategy,
     borrowing_free_check,
-    clairvoyant_strategy,
     doob_strategy,
     run_simple,
     upper_prob_singleton,
@@ -61,6 +58,28 @@ EXPERIMENT_KINDS = (
 )
 
 
+# the seed comes from the config's seed list
+_GENERATOR_FIELDS = set(GeneratorSpec.__dataclass_fields__) - {"seed"}
+
+
+def _param(params: dict, key: str, cast, default, minimum=None):
+    """``params[key]`` (or ``default``) converted by ``cast``, elementwise
+    when ``default`` is a list; :class:`ConfigError` when that fails."""
+    value = params.get(key, default)
+    try:
+        if isinstance(default, list):
+            if not isinstance(value, list) or not value:
+                raise TypeError("need a nonempty list")
+            out = [cast(v) for v in value]
+        else:
+            out = cast(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"params.{key} = {value!r}: {e}") from e
+    if minimum is not None and out < minimum:
+        raise ConfigError(f"params.{key} must be >= {minimum}, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -73,6 +92,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.seeds:
             raise ConfigError("seed set must be explicit and nonempty")
+        if not all(
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 <= s < 2**64
+            for s in self.seeds
+        ):
+            raise ConfigError(f"seeds must be unsigned 64-bit integers, got {list(self.seeds)}")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params must be a JSON object")
+        if self.generator is not None:
+            if not isinstance(self.generator, dict):
+                raise ConfigError("generator must be a JSON object")
+            unknown = set(self.generator) - _GENERATOR_FIELDS
+            if unknown:
+                raise ConfigError(f"unknown generator fields: {sorted(unknown)}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "params", dict(self.params))
 
@@ -135,12 +167,7 @@ def write_report(report: RunReport, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_bytes(report_canonical_bytes(report))
-    (out / "meta.json").write_text(
-        json.dumps(
-            {"wall_time_s": report.wall_time_s, "backend": default_backend()},
-            sort_keys=True,
-        )
-    )
+    (out / "meta.json").write_text(json.dumps({"wall_time_s": report.wall_time_s}))
     if report.cases:
         buf = io.StringIO()
         keys = sorted({k for c in report.cases for k in c})
@@ -197,19 +224,19 @@ _ORACLE_GAUGES = tuple(
 
 
 def _case_oracle(seed: int, params: dict) -> dict:
-    path = _small_path(seed, int(params.get("max_samples", 12)))
+    path = _small_path(seed, _param(params, "max_samples", int, 12, minimum=3))
     worst = 0.0
     for phi in _ORACLE_GAUGES:
         fast = var_phi(path, phi)
         slow = brute_force_var_phi(path, phi)
         err = abs(fast - slow) / max(abs(slow), 1e-300)
         worst = max(worst, err)
-    tol = float(params.get("rel_tol", 1e-12))
+    tol = _param(params, "rel_tol", float, 1e-12)
     return {"case": f"oracle-{seed:06d}", "max_rel_err": worst, "pass": worst <= tol}
 
 
 def _case_doob(seed: int, params: dict) -> dict:
-    path = _walk_path(seed, int(params.get("max_samples", 200)))
+    path = _walk_path(seed, _param(params, "max_samples", int, 200, minimum=4))
     rng = np.random.default_rng(np.uint64(seed) + 7)
     sup = path.sup
     grid = 2.0**-10
@@ -231,10 +258,10 @@ def _case_doob(seed: int, params: dict) -> dict:
 
 
 def _case_prop1(seed: int, params: dict) -> dict:
-    L = int(params.get("L", 1))
-    j_max = int(params.get("j_max", 8))
-    p = float(params.get("p", 2.5))
-    path = _walk_path(seed, int(params.get("max_samples", 200)), sigma=0.3)
+    L = _param(params, "L", int, 1, minimum=0)
+    j_max = _param(params, "j_max", int, 8)
+    p = _param(params, "p", float, 2.5)
+    path = _walk_path(seed, _param(params, "max_samples", int, 200, minimum=4), sigma=0.3)
     # rescale below 2^L
     values = path.values * (2.0**L * 0.8 / max(path.sup, 1e-9))
     path = PricePath(path.times, dyadic_round(values))
@@ -260,16 +287,13 @@ def _case_prop3(key: tuple, params: dict) -> dict:
     gen.setdefault("n_samples", max(int(n_steps) + 1, 1025))
     spec = GeneratorSpec(seed=seed, **gen)
     path = generate(spec)
-    rep = verify_prop3_bound(
-        path, eps, delta, int(n_steps),
-        j_policy=params.get("j_max"),
-        raise_on_violation=False,
-    )
+    j_max = None if params.get("j_max") is None else _param(params, "j_max", int, None)
+    rep = verify_prop3_bound(path, eps, delta, n_steps, j_policy=j_max, raise_on_violation=False)
     return {
         "case": f"prop3-{seed:06d}-e{eps:g}-d{delta:g}-N{n_steps}",
         "eps": eps,
         "delta": delta,
-        "N": int(n_steps),
+        "N": n_steps,
         "s0": rep.s0,
         "s_t": rep.s_t,
         "rhs": rep.rhs,
@@ -279,9 +303,9 @@ def _case_prop3(key: tuple, params: dict) -> dict:
 
 
 def _case_upper_prob(eps: float, params: dict) -> dict:
-    n = int(params.get("n_samples", 101))
+    n = _param(params, "n_samples", int, 101)
     # keep 1 + eps*T strictly positive across the default slope table
-    horizon = float(params.get("horizon", 0.5))
+    horizon = _param(params, "horizon", float, 0.5)
     spec = GeneratorSpec(kind="linear-drift", n_samples=n, eps=eps, horizon=horizon)
     path = generate(spec)
     value = upper_prob_singleton(path)
@@ -297,26 +321,14 @@ def _case_upper_prob(eps: float, params: dict) -> dict:
 
 
 def _case_borrow(seed: int, params: dict) -> dict:
-    path = _walk_path(seed, int(params.get("max_samples", 128)), quantize=None)
+    path = _walk_path(seed, _param(params, "max_samples", int, 128, minimum=4), quantize=None)
     checks = []
-    checks.append(("doob", borrowing_free_check(doob_strategy(0.25, 0.75), path).ok))
-    strat, _ = clairvoyant_strategy(path)
-    checks.append(("clairvoyant", borrowing_free_check(strat, path).ok))
-    short = SimpleStrategy(1.0, ((AtIndex(0), -1.0),), descriptor="short")
-    rep = borrowing_free_check(short, path)
-    checks.append(
-        ("short-violates", (not rep.ok) and rep.continuation_min_capital < 0.0)
-    )
-    lev = SimpleStrategy(
-        1.0,
-        ((AtIndex(0), 2.0 / path.values[0]),),
-        descriptor="leveraged",
-        position_bound=max(2.0 / path.values[0], 1.0),
-    )
-    rep = borrowing_free_check(lev, path)
-    checks.append(
-        ("leveraged-violates", (not rep.ok) and rep.continuation_min_capital < 0.0)
-    )
+    for name in AUDIT_STRATEGIES:
+        rep = borrowing_free_check(audit_strategy(name, path), path)
+        if name in ("short", "leveraged"):
+            checks.append((f"{name}-violates", (not rep.ok) and rep.continuation_min_capital < 0.0))
+        else:
+            checks.append((name, rep.ok))
     return {
         "case": f"borrow-{seed:06d}",
         "detail": ";".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok in checks),
@@ -324,57 +336,37 @@ def _case_borrow(seed: int, params: dict) -> dict:
     }
 
 
-def run_experiment(
-    config: ExperimentConfig, jobs: int = 1, raise_on_failure: bool = False
-) -> RunReport:
+def run_experiment(config: ExperimentConfig, raise_on_failure: bool = False) -> RunReport:
     """Execute the configured suite and assemble a deterministic report."""
     t0 = time.perf_counter()
     params = config.params
     series: dict[str, list] = {}
-    work: list = []
-    runner = None
-
-    if config.kind == "oracle-suite":
-        work = list(config.seeds)
-        runner = lambda s: _case_oracle(s, params)
-    elif config.kind == "doob-suite":
-        work = list(config.seeds)
-        runner = lambda s: _case_doob(s, params)
-    elif config.kind == "prop1-check":
-        work = list(config.seeds)
-        runner = lambda s: _case_prop1(s, params)
+    if config.kind == "growth-profile":
+        cases, series = _growth_profile(config)
     elif config.kind == "prop3-check":
-        eps_grid = params.get("eps", [0.5, 1.0])
-        delta_grid = params.get("delta", [0.5, 1.0])
-        n_grid = params.get("N", [64, 256])
+        eps_grid = _param(params, "eps", float, [0.5, 1.0])
+        delta_grid = _param(params, "delta", float, [0.5, 1.0])
+        n_grid = _param(params, "N", int, [64, 256])
         if config.generator:
-            params = dict(params)
-            params["generator_base"] = config.generator
-        work = [
-            (s, float(e), float(d), int(n))
+            params = dict(params, generator_base=config.generator)
+        cases = [
+            _case_prop3((s, e, d, n), params)
             for s in config.seeds
             for e in eps_grid
             for d in delta_grid
             for n in n_grid
         ]
-        runner = lambda key: _case_prop3(key, params)
     elif config.kind == "upper-prob-table":
-        eps_grid = params.get("eps", [-1.0, -0.5, 0.5, 1.0])
-        work = [float(e) for e in eps_grid]
-        runner = lambda e: _case_upper_prob(e, params)
-    elif config.kind == "growth-profile":
-        return _run_growth_profile(config, t0)
-    elif config.kind == "borrow-audit":
-        work = list(config.seeds)
-        runner = lambda s: _case_borrow(s, params)
-    else:  # pragma: no cover
-        raise ConfigError(config.kind)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cases = list(pool.map(runner, work))
+        eps_grid = _param(params, "eps", float, [-1.0, -0.5, 0.5, 1.0])
+        cases = [_case_upper_prob(e, params) for e in eps_grid]
     else:
-        cases = [runner(w) for w in work]
+        case = {
+            "oracle-suite": _case_oracle,
+            "doob-suite": _case_doob,
+            "prop1-check": _case_prop1,
+            "borrow-audit": _case_borrow,
+        }[config.kind]
+        cases = [case(s, params) for s in config.seeds]
     cases.sort(key=lambda c: c["case"])
 
     if config.kind == "upper-prob-table":
@@ -396,10 +388,10 @@ def run_experiment(
     return report
 
 
-def _run_growth_profile(config: ExperimentConfig, t0: float) -> RunReport:
+def _growth_profile(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
-    p_grid = [float(p) for p in params.get("p", [1.5, 2.0, 2.5, 3.0])]
-    n_grid = [int(n) for n in params.get("N", [256, 1024, 4096])]
+    p_grid = _param(params, "p", float, [1.5, 2.0, 2.5, 3.0])
+    n_grid = _param(params, "N", int, [256, 1024, 4096])
     gen = config.generator or {"kind": "exp-fractional", "hurst": 0.5, "sigma": 0.5}
     gen = dict(gen)
     gen.setdefault("n_samples", max(n_grid) + 1)
@@ -423,16 +415,7 @@ def _run_growth_profile(config: ExperimentConfig, t0: float) -> RunReport:
                 "pass": bool(non_decreasing),
             }
         )
-    cases.sort(key=lambda c: c["case"])
-    n_failed = sum(0 if c["pass"] else 1 for c in cases)
-    return RunReport(
-        config=config.to_dict(),
-        cases=cases,
-        summary={"n_cases": len(cases), "n_failed": n_failed},
-        series=series,
-        version=__version__,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return cases, series
 
 
 def emit_plot_data(report: RunReport, series: str) -> str:

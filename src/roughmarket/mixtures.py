@@ -32,6 +32,7 @@ from . import _kernels
 from .errors import (
     BadWeights,
     BoundViolated,
+    ConfigError,
     InadmissiblePhi,
     NegativeComponent,
     TruncationUnsafe,
@@ -39,10 +40,12 @@ from .errors import (
 from .paths import PricePath, discretize
 from .strategies import (
     AtIndex,
+    BorrowReport,
     CapitalTrace,
     HitAbove,
     SimpleStrategy,
     doob_strategy,
+    first_violation,
     run_simple,
 )
 from .variation import VariationFunctional, phi_admissible, var_p
@@ -62,6 +65,7 @@ __all__ = [
 ]
 
 _NEG_TOL = 1e-9
+CELL_BUDGET = 1 << 25  # simulated cells per mixture; finer scales fold into the tail
 
 
 @dataclass(frozen=True)
@@ -140,10 +144,10 @@ class GridStrategyMixture:
 Mixture = Union[StrategyMixture, GridStrategyMixture]
 
 
-def run_mixture(mixture: Mixture, path: PricePath, backend: str | None = None) -> CapitalTrace:
+def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
     """Weighted capital trace of a mixture; every component must stay >= 0."""
     if isinstance(mixture, GridStrategyMixture):
-        return _run_grid(mixture, path, backend)
+        return _run_grid(mixture, path)
     n = path.n_samples
     capital = np.full(n, mixture.analytic_tail_capital, dtype=np.float64)
     position = np.zeros(n, dtype=np.float64)
@@ -165,13 +169,13 @@ def run_mixture(mixture: Mixture, path: PricePath, backend: str | None = None) -
     )
 
 
-def _run_grid(mixture: GridStrategyMixture, path: PricePath, backend) -> CapitalTrace:
+def _run_grid(mixture: GridStrategyMixture, path: PricePath) -> CapitalTrace:
     values = path.values
     n = values.shape[0]
     capital = np.full(n, mixture.analytic_tail_capital, dtype=np.float64)
     position = np.zeros(n, dtype=np.float64)
     for lv in mixture.levels:
-        agg, held = _kernels.doob_grid_trace(values, lv.scale_exp, lv.k_count, backend=backend)
+        agg, held = _kernels.doob_grid_trace(values, lv.scale_exp, lv.k_count)
         capital += lv.cell_weight * agg
         position += lv.cell_weight * held
     # cells are individually positive on positive paths (they buy at or below
@@ -188,24 +192,10 @@ def _run_grid(mixture: GridStrategyMixture, path: PricePath, backend) -> Capital
     )
 
 
-def borrowing_free_mixture_check(mixture: Mixture, path: PricePath) -> "BorrowReport":
+def borrowing_free_mixture_check(mixture: Mixture, path: PricePath) -> BorrowReport:
     """Aggregate no-borrowing audit: position >= 0 and cash >= 0 per sample."""
-    from .strategies import BorrowReport, Violation
-
-    trace = run_mixture(mixture, path)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(trace.capital))))
-    for i in range(path.n_samples - 1):
-        if trace.position[i] < -tol:
-            return BorrowReport(
-                ok=False,
-                first_violation=Violation("short", i, float(path.times[i]), float(trace.position[i])),
-            )
-        if trace.cash[i] < -tol:
-            return BorrowReport(
-                ok=False,
-                first_violation=Violation("cash", i, float(path.times[i]), float(trace.cash[i])),
-            )
-    return BorrowReport(ok=True)
+    violation = first_violation(run_mixture(mixture, path))
+    return BorrowReport(ok=violation is None, first_violation=violation)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +217,11 @@ def _derive_scale_cut(path: PricePath) -> int:
 
 
 def _resolve_scale_cut(
-    j_policy, path_hint, j_floor: int, cell_budget: int, class_lows: list[tuple[int, int]]
+    j_policy,
+    path_hint,
+    j_floor: int,
+    class_lows: list[tuple[int, int]],
+    cell_budget: int = CELL_BUDGET,
 ) -> int:
     if j_policy is None and path_hint is None:
         raise TruncationUnsafe("need a path hint or an explicit scale cutoff")
@@ -254,7 +248,6 @@ def volatility_mixture(
     kind: str = "prop1",
     eps: float | None = None,
     delta: float | None = None,
-    cell_budget: int = 1 << 25,
 ) -> GridStrategyMixture:
     """Build the dyadic band mixture of the given kind.
 
@@ -277,7 +270,7 @@ def volatility_mixture(
                 f"gauge fails the dyadic series probe (tail_trend={report.tail_trend:.3g})"
             )
         L = int(L_max)
-        cut = _resolve_scale_cut(j_policy, path_hint, 0, cell_budget, [(L, 0)])
+        cut = _resolve_scale_cut(j_policy, path_hint, 0, [(L, 0)])
         js = np.arange(0, cut + 1)
         w_raw = np.asarray(phi(2.0 ** (-js.astype(np.float64)))) * 4.0**js
         z = float(w_raw.sum())
@@ -301,16 +294,13 @@ def volatility_mixture(
         )
 
     if kind != "prop3":
-        raise ValueError(f"unknown mixture kind {kind!r}")
-    if eps is None or delta is None or eps <= 0.0 or delta <= 0.0:
-        raise ValueError("prop3 mixture needs eps > 0 and delta > 0")
+        raise ConfigError(f"unknown mixture kind {kind!r}")
+    _check_prop3_params(eps, delta)
     if phi is not None and (phi.kind != "power" or abs(phi.p - (2.0 + eps)) > 1e-12):
-        raise ValueError("prop3 gauge must be power(2 + eps)")
+        raise InadmissiblePhi("prop3 gauge must be power(2 + eps)")
     L_top = int(L_max)
     l_exps = list(range(0, L_top + 1))
-    cut = _resolve_scale_cut(
-        j_policy, path_hint, 2 - L_top, cell_budget, [(L, 2 - L) for L in l_exps]
-    )
+    cut = _resolve_scale_cut(j_policy, path_hint, 2 - L_top, [(L, 2 - L) for L in l_exps])
 
     one_m_eps = 1.0 - 2.0**-eps
     one_m_del = 1.0 - 2.0**-delta
@@ -337,8 +327,7 @@ def volatility_mixture(
         g2 = 2.0 ** (-(1.0 + eps) * s) / (1.0 - 2.0 ** -(1.0 + eps))
         tail += outer * norm * 0.5 * (2.0**L * g1 - g2)
     # size classes beyond L_top: full class initial capital, independent of L
-    s0 = 1.0 - (2.0**eps - 1.0) / (2.0 * (2.0 ** (1.0 + eps) - 1.0))
-    tail += s0 * 2.0 ** (-delta * (L_top + 1))
+    tail += prop3_initial_capital(eps, delta) * 2.0 ** (-delta * (L_top + 1))
     return GridStrategyMixture(
         levels=tuple(levels),
         analytic_tail_capital=tail,
@@ -348,6 +337,11 @@ def volatility_mixture(
         eps=eps,
         delta=delta,
     )
+
+
+def _check_prop3_params(eps, delta) -> None:
+    if eps is None or delta is None or not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
+        raise BadWeights(f"prop3 mixture needs finite eps > 0 and delta > 0, got {eps}, {delta}")
 
 
 def prop3_initial_capital(eps: float, delta: float) -> float:
@@ -381,7 +375,6 @@ def verify_prop3_bound(
     delta: float,
     N: int,
     j_policy: int | None = None,
-    backend: str | None = None,
     raise_on_violation: bool = True,
 ) -> Prop3Report:
     """Check the explicit capital bound on the N-step discretization.
@@ -394,12 +387,10 @@ def verify_prop3_bound(
 
     Truncation drops only positive components, so a pass is a valid witness;
     a failure raises :class:`BoundViolated` and would indicate a defect in
-    the construction, not in the inequality.
+    the construction, not in the inequality.  Bad parameters raise
+    :class:`BadWeights` (eps, delta) or :class:`BadSpec` (N).
     """
-    if eps <= 0.0 or delta <= 0.0:
-        raise ValueError("need eps > 0 and delta > 0")
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _check_prop3_params(eps, delta)
     omega_n = discretize(path, N)
     sup = omega_n.sup
     l_top = max(0, math.ceil(math.log2(sup))) if sup > 1.0 else 0
@@ -412,9 +403,9 @@ def verify_prop3_bound(
         eps=eps,
         delta=delta,
     )
-    trace = run_mixture(mixture, omega_n, backend=backend)
+    trace = run_mixture(mixture, omega_n)
     s_t = trace.final_capital
-    variation = var_p(omega_n, 2.0 + eps, backend=backend)
+    variation = var_p(omega_n, 2.0 + eps)
     rhs = (
         (1.0 - 2.0**-eps)
         * (1.0 - 2.0**-delta)

@@ -157,13 +157,43 @@ class GeneratorSpec:
         unknown = set(d) - known
         if unknown:
             raise BadSpec(f"unknown generator fields: {sorted(unknown)}")
+        missing = {"kind", "n_samples"} - set(d)
+        if missing:
+            raise BadSpec(f"missing generator fields: {sorted(missing)}")
         for key in ("values", "times"):
             if key in d and d[key] is not None:
+                if not isinstance(d[key], list):
+                    raise BadSpec(f"{key} must be a list of numbers")
                 d[key] = tuple(d[key])
         return cls(**d)
 
 
+_INT_FIELDS = ("n_samples", "seed")
+_REAL_FIELDS = (
+    "horizon", "level", "start", "eps", "sigma", "drift", "hurst",
+    "jump_rate", "jump_mean", "jump_sigma",
+)
+
+
+def _is_number(x, integral: bool = False) -> bool:
+    kinds = (int, np.integer) if integral else (int, float, np.integer, np.floating)
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
+def _check_types(spec: GeneratorSpec) -> None:
+    for name in _INT_FIELDS + _REAL_FIELDS:
+        value = getattr(spec, name)
+        if not _is_number(value, integral=name in _INT_FIELDS):
+            what = "an integer" if name in _INT_FIELDS else "a number"
+            raise BadSpec(f"{name} must be {what}, got {value!r}")
+    for name in ("values", "times"):
+        seq = getattr(spec, name)
+        if seq is not None and not all(_is_number(x) for x in seq):
+            raise BadSpec(f"{name} must hold numbers only")
+
+
 def _validate_spec(spec: GeneratorSpec) -> None:
+    _check_types(spec)
     if spec.kind not in GENERATOR_KINDS:
         raise BadSpec(f"unknown generator kind {spec.kind!r}")
     if spec.kind != "custom-steps" and spec.n_samples < 2:

@@ -21,6 +21,7 @@ from .errors import (
     BadInterval,
     FormMismatch,
     NonAdapted,
+    RoughMarketError,
     RuleOverflow,
     ZeroPrice,
 )
@@ -39,6 +40,8 @@ __all__ = [
     "upper_prob_singleton",
     "borrowing_free_check",
     "BorrowReport",
+    "AUDIT_STRATEGIES",
+    "audit_strategy",
 ]
 
 
@@ -362,7 +365,29 @@ class BorrowReport:
     continuation_min_capital: float | None = None
 
 
-_BORROW_TOL = 1e-9  # absolute slack for cash that is zero up to roundoff
+_BORROW_TOL = 1e-9  # slack per unit of max(1, max |capital|) for roundoff zeros
+
+
+def first_violation(trace: CapitalTrace) -> Violation | None:
+    """First borrowing of a capital trace in time order, or None.
+
+    Negative initial capital is borrowed cash at time 0.  After that, sample
+    ``i < n-1`` borrows when the position carried into
+    ``(times[i], times[i+1]]`` is short or the cash is negative; a short
+    position is reported before negative cash at the same sample.  Amounts
+    within ``1e-9 * max(1, max |capital|)`` of zero count as zero.
+    """
+    tol = _BORROW_TOL * max(1.0, float(np.max(np.abs(trace.capital))))
+    if trace.initial_capital < -tol:
+        return Violation("cash", 0, 0.0, float(trace.initial_capital))
+    short = trace.position[:-1] < -tol
+    borrowing = short | (trace.cash[:-1] < -tol)
+    if not borrowing.any():
+        return None
+    i = int(borrowing.argmax())
+    if short[i]:
+        return Violation("short", i, float(trace.times[i]), float(trace.position[i]))
+    return Violation("cash", i, float(trace.times[i]), float(trace.cash[i]))
 
 
 def borrowing_free_check(strategy: SimpleStrategy, path: PricePath) -> BorrowReport:
@@ -373,21 +398,10 @@ def borrowing_free_check(strategy: SimpleStrategy, path: PricePath) -> BorrowRep
     strictly negative capital it produces.
     """
     trace = run_simple(strategy, path)
-    values = path.values
-    n = values.shape[0]
-    scale = max(1.0, float(np.max(np.abs(trace.capital))))
-    tol = _BORROW_TOL * scale
-    if float(strategy.initial_capital) < -tol:
-        violation = Violation("cash", 0, 0.0, float(strategy.initial_capital))
-        return _with_continuation(strategy, path, trace, violation)
-    for i in range(n - 1):  # position carried into (times[i], times[i+1]]
-        if trace.position[i] < -tol:
-            violation = Violation("short", i, float(path.times[i]), float(trace.position[i]))
-            return _with_continuation(strategy, path, trace, violation)
-        if trace.cash[i] < -tol:
-            violation = Violation("cash", i, float(path.times[i]), float(trace.cash[i]))
-            return _with_continuation(strategy, path, trace, violation)
-    return BorrowReport(ok=True)
+    violation = first_violation(trace)
+    if violation is None:
+        return BorrowReport(ok=True)
+    return _with_continuation(strategy, path, trace, violation)
 
 
 def _with_continuation(
@@ -411,3 +425,27 @@ def _with_continuation(
         continuation=continuation,
         continuation_min_capital=alt.min_capital,
     )
+
+
+AUDIT_STRATEGIES = ("doob", "clairvoyant", "short", "leveraged")
+
+
+def audit_strategy(name: str, path: PricePath, a: float = 0.25, b: float = 0.75) -> SimpleStrategy:
+    """A named strategy for the no-borrowing audit on ``path``.
+
+    ``doob`` trades the band (a, b) and ``clairvoyant`` reinvests on every
+    up move of the path; neither borrows.  ``short`` sells one unit at time
+    0 and ``leveraged`` buys two units of capital's worth; both borrow.
+    """
+    if name == "doob":
+        return doob_strategy(a, b)
+    if name == "clairvoyant":
+        return clairvoyant_strategy(path)[0]
+    if name == "short":
+        return SimpleStrategy(1.0, ((AtIndex(0), -1.0),), descriptor="short")
+    if name == "leveraged":
+        h = 2.0 / path.values[0]
+        return SimpleStrategy(
+            1.0, ((AtIndex(0), h),), descriptor="leveraged", position_bound=max(h, 1.0)
+        )
+    raise RoughMarketError(f"unknown audit strategy {name!r}")

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from roughmarket import PricePath, _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so timed tests measure algorithms only
-    _kernels.warmup()
-
-
-BACKENDS = ["numba", "numpy"] if _kernels.HAVE_NUMBA else ["numpy"]
+from roughmarket import PricePath
 
 
 def step_path(values, T=1.0) -> PricePath:

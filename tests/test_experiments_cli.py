@@ -1,4 +1,6 @@
 import json
+import signal
+import time
 
 import pytest
 
@@ -101,7 +103,7 @@ class TestReportDeterminism:
     def test_byte_identical_reports(self):
         cfg = ExperimentConfig(kind="doob-suite", seeds=tuple(range(10)))
         a = report_canonical_bytes(run_experiment(cfg))
-        b = report_canonical_bytes(run_experiment(cfg, jobs=4))
+        b = report_canonical_bytes(run_experiment(cfg))
         assert a == b
 
     def test_write_report_layout(self, tmp_path):
@@ -213,3 +215,74 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "upper-prob-table", "seeds": []}))
         assert main(["run", "--config", str(cfg)]) == 2
+
+
+MALFORMED = {
+    "prop3-N-0": (["prop3", "--eps", "1", "--delta", "1", "--N", "0"], None),
+    "prop3-eps-negative": (["prop3", "--eps", "-1", "--delta", "1", "--N", "16"], None),
+    "prop3-delta-zero": (["prop3", "--eps", "1", "--delta", "0", "--N", "16"], None),
+    "crossings-step-0": (["crossings", "--step", "0"], None),
+    "crossings-step-negative": (["crossings", "--step", "-1"], None),
+    "crossings-step-tiny": (["crossings", "--step", "1e-12"], None),
+    "spec-n-samples-text": (["generate"], {"kind": "constant", "n_samples": "abc"}),
+    "spec-values-not-numbers": (
+        ["generate"],
+        {"kind": "custom-steps", "n_samples": 2, "values": ["x", 1]},
+    ),
+    "spec-missing-n-samples": (["generate"], {"kind": "constant"}),
+    "run-eps-negative": (
+        ["run"],
+        {"kind": "prop3-check", "seeds": [1], "params": {"eps": [-1], "N": [16]}},
+    ),
+    "run-seed-text": (["run"], {"kind": "oracle-suite", "seeds": ["abc"]}),
+    "run-max-samples-text": (
+        ["run"],
+        {"kind": "oracle-suite", "seeds": [1], "params": {"max_samples": "x"}},
+    ),
+    "run-grid-not-list": (["run"], {"kind": "prop3-check", "seeds": [1], "params": {"N": 64}}),
+    "run-generator-unknown-field": (
+        ["run"],
+        {"kind": "growth-profile", "seeds": [1], "generator": {"kind": "constant", "x": 1}},
+    ),
+}
+
+
+class TestMalformedInput:
+    """Bad input exits 2 with one error line, no traceback, and no long loop."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exit_2(self, name, sample_csv, tmp_path, capsys, monkeypatch):
+        import roughmarket.cli as cli
+
+        def no_band_loop(*args):
+            raise AssertionError("per-band loop ran on a rejected step")
+
+        monkeypatch.setattr(cli, "crossings", no_band_loop)
+        argv, payload = MALFORMED[name]
+        argv = list(argv)
+        if argv[0] in ("prop3", "crossings"):
+            argv += ["--path", str(sample_csv)]
+        elif payload is not None:
+            f = tmp_path / "input.json"
+            f.write_text(json.dumps(payload))
+            if argv[0] == "generate":
+                argv += ["--spec", str(f), "--out", str(tmp_path / "p.csv")]
+            else:
+                argv += ["--config", str(f)]
+
+        def too_slow(signum, frame):
+            raise AssertionError(f"{name} still running after 20 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(20)
+        t0 = time.perf_counter()
+        try:
+            rc = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert time.perf_counter() - t0 < 5.0

@@ -25,9 +25,9 @@ from roughmarket.errors import (
     NegativeComponent,
     TruncationUnsafe,
 )
-from roughmarket.mixtures import prop3_initial_capital
+from roughmarket.mixtures import _resolve_scale_cut, prop3_initial_capital
 
-from conftest import BACKENDS, random_positive_path, step_path
+from conftest import random_positive_path, step_path
 from grid_oracle import doob_grid_events
 
 SAW = step_path([0.0, 1.0, 0.0, 1.0])
@@ -119,9 +119,10 @@ class TestVolatilityMixtureConstruction:
             volatility_mixture(None, 0, j_policy=4, kind="nope")
 
     def test_cell_budget_lowers_cut(self):
-        mix = volatility_mixture(P25, 0, j_policy=20, cell_budget=2**10)
-        assert mix.scale_cut < 20
-        assert mix.n_components <= 2**10
+        # one size class L = 0: scales 0..cut hold 2^(cut+1) - 1 cells
+        cut = _resolve_scale_cut(20, None, 0, [(0, 0)], cell_budget=2**10)
+        assert cut == 9  # 2^10 - 1 cells; scale 10 would exceed the budget
+        assert volatility_mixture(P25, 0, j_policy=20).scale_cut == 20
 
     def test_scale_cut_from_path_hint(self):
         mix = volatility_mixture(P25, 0, path_hint=SAW)
@@ -130,13 +131,12 @@ class TestVolatilityMixtureConstruction:
 
 
 class TestGridAgainstExplicit:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_prop1_trace_equality(self, backend):
+    def test_prop1_trace_equality(self):
         rng = np.random.default_rng(2024)
         for _ in range(8):
             path = random_positive_path(rng, n_max=30, sigma=0.4)
             mix = volatility_mixture(P25, 1, j_policy=5, kind="prop1")
-            fast = run_mixture(mix, path, backend=backend)
+            fast = run_mixture(mix, path)
             cap = np.zeros(path.n_samples)
             pos = np.zeros(path.n_samples)
             for w, strat in mix.iter_components():
@@ -204,11 +204,9 @@ class TestGridKernelOracle:
                     err = np.max(np.abs(agg - ref_agg))
                     assert err <= 1e-12 * np.max(np.abs(ref_agg)), (case, j, k_cap)
 
-    def test_empty_grid_and_backend_check(self):
+    def test_empty_grid(self):
         agg, held = doob_grid_trace(np.array([1.0, 2.0]), 0, 0)
         assert np.array_equal(agg, [0.0, 0.0]) and np.array_equal(held, [0, 0])
-        with pytest.raises(ValueError):
-            doob_grid_trace(np.array([1.0, 2.0]), 0, 1, backend="cuda")
 
 
 class TestCrossingInequality:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from roughmarket import (
     upper_prob_singleton,
 )
 from roughmarket.errors import BadInterval, RuleOverflow, ZeroPrice
+from roughmarket.strategies import CapitalTrace, first_violation
 
 from conftest import random_positive_path, step_path
 
@@ -245,3 +247,21 @@ class TestBorrowingFree:
         strat = SimpleStrategy(1.0, ((AtIndex(0), -0.5),))
         rep = borrowing_free_check(strat, path)
         assert rep.first_violation.amount == -0.5
+
+    def test_first_violation_scan_order(self):
+        trace = CapitalTrace(
+            times=np.array([0.0, 0.5, 1.0]),
+            capital=np.ones(3),
+            position=np.array([0.0, -1.0, -1.0]),
+            cash=np.array([1.0, -1.0, -1.0]),
+            initial_capital=1.0,
+        )
+        # short wins over cash at one index; the last sample is never scanned
+        v = first_violation(trace)
+        assert (v.kind, v.index, v.amount) == ("short", 1, -1.0)
+        earlier_cash = replace(trace, cash=np.array([-1.0, 1.0, 1.0]))
+        assert first_violation(earlier_cash).kind == "cash"
+        assert first_violation(replace(trace, position=np.zeros(3), cash=np.ones(3))) is None
+        # violations within 1e-9 * max(1, max |capital|) of zero are roundoff
+        tiny = replace(trace, position=np.array([-1e-10, 0.0, 0.0]), cash=np.ones(3))
+        assert first_violation(tiny) is None

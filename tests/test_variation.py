@@ -17,7 +17,7 @@ from roughmarket import (
 from roughmarket.errors import BadStep, TooLarge
 from roughmarket.variation import _var_phi_dp
 
-from conftest import BACKENDS, random_positive_path, step_path
+from conftest import random_positive_path, step_path
 
 P_GRID = (0.5, 1.0, 2.0, 2.5, 3.0)
 GAUGES = tuple([VariationFunctional.power(p) for p in P_GRID] + [VariationFunctional.taylor_psi()])
@@ -33,13 +33,12 @@ class TestVarPhi:
     def test_monotone_coarsest_wins(self):
         assert var_p(step_path([1, 2, 4]), 2.0) == 9.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_oracle_agreement(self, backend):
+    def test_oracle_agreement(self):
         rng = np.random.default_rng(1234)
         for _ in range(60):
             path = random_positive_path(rng, n_max=10)
             for phi in GAUGES:
-                fast = var_phi(path, phi, backend=backend)
+                fast = var_phi(path, phi)
                 slow = brute_force_var_phi(path, phi)
                 assert fast == pytest.approx(slow, rel=1e-12)
 
@@ -76,17 +75,6 @@ class TestVarPhi:
         grid = [1.0, 1.5, 2.0, 2.5, 3.0]
         out = [var_p(path, p) for p in grid]
         assert all(b <= a + 1e-12 for a, b in zip(out, out[1:]))
-
-    def test_backends_agree(self):
-        rng = np.random.default_rng(99)
-        if len(BACKENDS) < 2:
-            pytest.skip("single backend")
-        for _ in range(10):
-            path = random_positive_path(rng, n_max=60)
-            for phi in GAUGES:
-                a = var_phi(path, phi, backend="numba")
-                b = var_phi(path, phi, backend="numpy")
-                assert a == pytest.approx(b, rel=1e-13)
 
 
 class TestBruteForce:
@@ -211,15 +199,6 @@ class TestQvar:
             qvar_profile(path, [-1.0])
         with pytest.raises(BadStep):
             qvar_profile(path, [0.5, 0.5])
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backend_equivalence(self, backend):
-        rng = np.random.default_rng(33)
-        path = random_positive_path(rng, n_max=50)
-        pts = qvar_profile(path, [0.7, 0.3, 0.1], backend=backend)
-        ref = qvar_profile(path, [0.7, 0.3, 0.1], backend="numpy")
-        for a, b in zip(pts, ref):
-            assert a.value == pytest.approx(b.value, rel=1e-13)
 
 
 class TestGrowthProfile:
