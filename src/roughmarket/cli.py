@@ -42,9 +42,8 @@ from .strategies import (
 )
 from .variation import (
     VariationFunctional,
-    band_count,
+    band_crossings,
     crossings,
-    grid_crossings,
     qvar_profile,
     var_phi,
 )
@@ -85,13 +84,10 @@ def _cmd_variation(args) -> int:
 def _cmd_crossings(args) -> int:
     path = read_path(args.path)
     if args.step is not None:
+        up, down = band_crossings(path, args.step)
         lines = ["k,up,down"]
-        h = args.step
-        for k in range(band_count(path.sup, h)):
-            c = crossings(path, k * h, (k + 1) * h)
-            lines.append(f"{k},{c.up},{c.down}")
-        total = grid_crossings(path, h)
-        log.info("totals: up=%d down=%d", total.up, total.down)
+        lines += [f"{k},{u},{d}" for k, (u, d) in enumerate(zip(up.tolist(), down.tolist()))]
+        log.info("totals: up=%d down=%d", up.sum(), down.sum())
     else:
         if args.a is None or args.b is None:
             raise RoughMarketError("need --step or both --a and --b")

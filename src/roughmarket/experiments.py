@@ -20,7 +20,7 @@ import numpy as np
 from ._version import __version__
 from .errors import CaseFailure, ConfigError, UnknownSeries
 from .mixtures import run_mixture, verify_prop3_bound, volatility_mixture
-from .paths import GeneratorSpec, PricePath, discretize, generate
+from .paths import GeneratorSpec, PricePath, generate
 from .strategies import (
     AUDIT_STRATEGIES,
     audit_strategy,
@@ -32,10 +32,11 @@ from .strategies import (
 from .variation import (
     VariationFunctional,
     brute_force_var_phi,
+    check_dp_samples,
     crossings,
     grid_crossings,
-    var_p,
     var_phi,
+    variation_growth_profile,
 )
 
 __all__ = [
@@ -60,6 +61,7 @@ EXPERIMENT_KINDS = (
 
 # the seed comes from the config's seed list
 _GENERATOR_FIELDS = set(GeneratorSpec.__dataclass_fields__) - {"seed"}
+_DEFAULT_GENERATOR = {"kind": "exp-fractional", "hurst": 0.5, "sigma": 0.5}
 
 
 def _param(params: dict, key: str, cast, default, minimum=None):
@@ -283,7 +285,7 @@ def _case_prop1(seed: int, params: dict) -> dict:
 
 def _case_prop3(key: tuple, params: dict) -> dict:
     seed, eps, delta, n_steps = key
-    gen = dict(params.get("generator_base", {"kind": "exp-fractional", "hurst": 0.5, "sigma": 0.5}))
+    gen = dict(params.get("generator_base", _DEFAULT_GENERATOR))
     gen.setdefault("n_samples", max(int(n_steps) + 1, 1025))
     spec = GeneratorSpec(seed=seed, **gen)
     path = generate(spec)
@@ -347,6 +349,7 @@ def run_experiment(config: ExperimentConfig, raise_on_failure: bool = False) -> 
         eps_grid = _param(params, "eps", float, [0.5, 1.0])
         delta_grid = _param(params, "delta", float, [0.5, 1.0])
         n_grid = _param(params, "N", int, [64, 256])
+        check_dp_samples(max(n_grid) + 1)  # before generating that many samples
         if config.generator:
             params = dict(params, generator_base=config.generator)
         cases = [
@@ -392,20 +395,17 @@ def _growth_profile(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
     p_grid = _param(params, "p", float, [1.5, 2.0, 2.5, 3.0])
     n_grid = _param(params, "N", int, [256, 1024, 4096])
-    gen = config.generator or {"kind": "exp-fractional", "hurst": 0.5, "sigma": 0.5}
-    gen = dict(gen)
+    check_dp_samples(max(n_grid) + 1)  # before generating that many samples
+    gen = dict(config.generator or _DEFAULT_GENERATOR)
     gen.setdefault("n_samples", max(n_grid) + 1)
-    values: dict[tuple[float, int], list[float]] = {(p, n): [] for p in p_grid for n in n_grid}
-    for seed in config.seeds:
-        path = generate(GeneratorSpec(seed=seed, **gen))
-        for n in n_grid:
-            sub = discretize(path, n)
-            for p in p_grid:
-                values[(p, n)].append(var_p(sub, p))
+    tables = [
+        variation_growth_profile(generate(GeneratorSpec(seed=seed, **gen)), p_grid, n_grid)
+        for seed in config.seeds
+    ]
     cases = []
     series = {}
     for p in p_grid:
-        medians = [float(np.median(values[(p, n)])) for n in n_grid]
+        medians = [float(np.median([t[(p, n)] for t in tables])) for n in n_grid]
         series[f"p={p:g}"] = [[n, m] for n, m in zip(n_grid, medians)]
         non_decreasing = all(b >= a for a, b in zip(medians, medians[1:]))
         cases.append(

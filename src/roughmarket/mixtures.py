@@ -5,14 +5,13 @@ Two representations:
 * :class:`StrategyMixture` holds explicit (weight, strategy) components and
   is executed component by component.
 * :class:`GridStrategyMixture` describes dyadic families of buy-low/sell-high
-  band strategies (cell k at scale j trades the band (k 2^-j, (k+1) 2^-j))
-  and is executed by the closed-form grid kernel, which avoids materializing
-  the many components.  After each sample every cell of a scale holds or is
-  flat according to where the price sits against its band, except the one
-  cell whose band strictly contains the price, which keeps the state set
-  when the price entered that band; so a scale costs O(n) whatever its cell
-  count, and the capital is the self-financing sum of held units times price
-  moves, exact on dyadic prices.
+  band strategies and is executed by the closed-form grid kernel
+  :func:`doob_grid_trace`, which avoids materializing the many components:
+  a scale costs O(n) whatever its cell count.
+
+Grid scales are powers of two, so ``x * 2**j`` is an exponent shift and
+exact in float64: cell-boundary comparisons involve no rounding, and the
+grid capital is exact on dyadic prices.
 
 Components beyond the truncation cut are carried as constants: a component
 replaced by a zero-position strategy with the same initial capital keeps the
@@ -23,12 +22,12 @@ so a verified bound on the truncated process is a valid witness.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     BadWeights,
     BoundViolated,
@@ -48,11 +47,12 @@ from .strategies import (
     first_violation,
     run_simple,
 )
-from .variation import VariationFunctional, phi_admissible, var_p
+from .variation import VariationFunctional, check_dp_samples, phi_admissible, var_p
 
 __all__ = [
     "StrategyMixture",
     "GridLevel",
+    "doob_grid_trace",
     "GridStrategyMixture",
     "Mixture",
     "run_mixture",
@@ -109,17 +109,60 @@ class GridLevel:
         return self.cell_weight * self.cell_height * (self.k_count * (self.k_count - 1) / 2.0)
 
 
+# Cell k at scale j trades the band (k*h, (k+1)*h), h = 2^-j, starting with
+# cash k*h: it buys one unit at the first sample <= k*h, sells at the first
+# later sample >= (k+1)*h, and repeats.  With q = x / h (exact) the cells
+# obey, after every sample x:
+#
+#   cells with k >= ceil(q) hold and cells with k < floor(q) are flat; at
+#   most one cell, c = floor(q), lies strictly inside its band, and it holds
+#   iff the last sample outside the open band (c, c+1) was <= c (flat if
+#   every sample since t = 0 stayed inside).
+#
+# So the held count is a clip plus a flag carried forward over runs of
+# samples inside one band, and the capital is self-financing: the initial
+# cash sum k*h plus the cumulative sum of held_{t-1} * (x_t - x_{t-1}).
+# Cost is O(n) per scale, independent of k_cap.
+
+
+def doob_grid_trace(values: np.ndarray, j_exp: int, k_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample aggregate capital and held-unit count of a dyadic cell grid.
+
+    ``j_exp`` is the scale exponent (cell height ``2**-j_exp``; may be
+    negative), ``k_cap`` the number of cells simulated, ``k = 0..k_cap-1``.
+    The capital counts each cell's initial cash, gains and held units at market.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = values.shape[0]
+    if k_cap <= 0:
+        return np.zeros(n), np.zeros(n, dtype=np.int64)
+    q = np.ldexp(values, j_exp)
+    lo = np.floor(q)
+    hi = np.ceil(q)
+    inside = lo < hi
+    # a run of samples strictly inside one band starts where the previous
+    # sample is outside it; the straddled cell holds iff that sample was <= c
+    start = inside.copy()
+    start[1:] &= ~(inside[:-1] & (lo[1:] == lo[:-1]))
+    entered_low = np.zeros(n, dtype=bool)
+    entered_low[1:] = q[:-1] <= lo[1:]
+    run_head = np.maximum.accumulate(np.where(start, np.arange(n), 0))
+    straddled = inside & (lo >= 0.0) & (lo < k_cap) & entered_low[run_head]
+    held = np.clip(k_cap - hi, 0, k_cap).astype(np.int64) + straddled
+    pnl = np.zeros(n)
+    pnl[1:] = held[:-1] * np.diff(values)
+    agg = np.cumsum(pnl) + math.ldexp(k_cap * (k_cap - 1) / 2.0, -j_exp)
+    return agg, held
+
+
 @dataclass(frozen=True)
 class GridStrategyMixture:
     """Dyadic band-trading mixture with analytic tail accounting."""
 
     levels: tuple[GridLevel, ...]
     analytic_tail_capital: float
-    kind: str  # "prop1" or "prop3"
     descriptor: str = ""
     scale_cut: int = 0  # largest simulated scale exponent
-    eps: float | None = None
-    delta: float | None = None
 
     @property
     def total_initial(self) -> float:
@@ -146,19 +189,15 @@ Mixture = Union[StrategyMixture, GridStrategyMixture]
 
 def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
     """Weighted capital trace of a mixture; every component must stay >= 0."""
-    if isinstance(mixture, GridStrategyMixture):
-        return _run_grid(mixture, path)
-    n = path.n_samples
-    capital = np.full(n, mixture.analytic_tail_capital, dtype=np.float64)
-    position = np.zeros(n, dtype=np.float64)
-    for w, strat in mixture.components:
-        trace = run_simple(strat, path)
-        if trace.min_capital < -_NEG_TOL * max(1.0, abs(trace.initial_capital)):
-            raise NegativeComponent(
-                f"component {strat.describe()} reached capital {trace.min_capital}"
-            )
-        capital += w * trace.capital
-        position += w * trace.position
+    capital = np.full(path.n_samples, mixture.analytic_tail_capital, dtype=np.float64)
+    position = np.zeros(path.n_samples, dtype=np.float64)
+    for w, part_capital, part_position in _run_parts(mixture, path):
+        capital += w * part_capital
+        position += w * part_position
+    # grid cells are individually positive on positive paths (they buy at or
+    # below their cash level); the aggregate check guards the implementation
+    if isinstance(mixture, GridStrategyMixture) and capital.min() < -_NEG_TOL * max(1.0, mixture.total_initial):
+        raise NegativeComponent(f"grid aggregate reached {capital.min()}")
     return CapitalTrace(
         times=path.times,
         capital=capital,
@@ -169,27 +208,19 @@ def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
     )
 
 
-def _run_grid(mixture: GridStrategyMixture, path: PricePath) -> CapitalTrace:
-    values = path.values
-    n = values.shape[0]
-    capital = np.full(n, mixture.analytic_tail_capital, dtype=np.float64)
-    position = np.zeros(n, dtype=np.float64)
-    for lv in mixture.levels:
-        agg, held = _kernels.doob_grid_trace(values, lv.scale_exp, lv.k_count)
-        capital += lv.cell_weight * agg
-        position += lv.cell_weight * held
-    # cells are individually positive on positive paths (they buy at or below
-    # their cash level); the aggregate check guards the implementation
-    if capital.min() < -_NEG_TOL * max(1.0, mixture.total_initial):
-        raise NegativeComponent(f"grid aggregate reached {capital.min()}")
-    return CapitalTrace(
-        times=path.times,
-        capital=capital,
-        position=position,
-        cash=capital - position * values,
-        firings=(),
-        initial_capital=mixture.total_initial,
-    )
+def _run_parts(mixture: Mixture, path: PricePath):
+    """Weight, capital and position of each grid level or explicit component."""
+    if isinstance(mixture, GridStrategyMixture):
+        for lv in mixture.levels:
+            yield (lv.cell_weight, *doob_grid_trace(path.values, lv.scale_exp, lv.k_count))
+        return
+    for w, strat in mixture.components:
+        trace = run_simple(strat, path)
+        if trace.min_capital < -_NEG_TOL * max(1.0, abs(trace.initial_capital)):
+            raise NegativeComponent(
+                f"component {strat.describe()} reached capital {trace.min_capital}"
+            )
+        yield w, trace.capital, trace.position
 
 
 def borrowing_free_mixture_check(mixture: Mixture, path: PricePath) -> BorrowReport:
@@ -288,7 +319,6 @@ def volatility_mixture(
         return GridStrategyMixture(
             levels=levels,
             analytic_tail_capital=0.0,
-            kind="prop1",
             descriptor=f"prop1(L={L},{phi.label},j<={cut})",
             scale_cut=cut,
         )
@@ -306,42 +336,49 @@ def volatility_mixture(
     one_m_del = 1.0 - 2.0**-delta
     levels = []
     tail = 0.0
-    for L in l_exps:
-        outer = one_m_del * 2.0 ** (-delta * L) * math.ldexp(1.0, 1 - L)
-        j_lo = 2 - L
-        norm = one_m_eps * 2.0 ** (eps * (2 - L))
-        for j in range(j_lo, cut + 1):
-            w = norm * 2.0 ** (-eps * j)
-            levels.append(
-                GridLevel(
-                    level_exp=L,
-                    scale_exp=j,
-                    k_count=1 << (L + j),
-                    cell_weight=outer * w * math.ldexp(1.0, -(L + j)),
+    with _in_float_range(eps, delta):
+        for L in l_exps:
+            outer = one_m_del * 2.0 ** (-delta * L) * math.ldexp(1.0, 1 - L)
+            j_lo = 2 - L
+            norm = one_m_eps * 2.0 ** (eps * (2 - L))
+            for j in range(j_lo, cut + 1):
+                w = norm * 2.0 ** (-eps * j)
+                levels.append(
+                    GridLevel(
+                        level_exp=L,
+                        scale_exp=j,
+                        k_count=1 << (L + j),
+                        cell_weight=outer * w * math.ldexp(1.0, -(L + j)),
+                    )
                 )
-            )
-        # scales beyond the cut: each holds its initial capital
-        # sum_{j>=s} w(j) (2^L - 2^-j)/2, geometric in both terms
-        s = max(cut + 1, j_lo)
-        g1 = 2.0 ** (-eps * s) / one_m_eps
-        g2 = 2.0 ** (-(1.0 + eps) * s) / (1.0 - 2.0 ** -(1.0 + eps))
-        tail += outer * norm * 0.5 * (2.0**L * g1 - g2)
-    # size classes beyond L_top: full class initial capital, independent of L
-    tail += prop3_initial_capital(eps, delta) * 2.0 ** (-delta * (L_top + 1))
+            # scales beyond the cut: each holds its initial capital
+            # sum_{j>=s} w(j) (2^L - 2^-j)/2, geometric in both terms
+            s = max(cut + 1, j_lo)
+            g1 = 2.0 ** (-eps * s) / one_m_eps
+            g2 = 2.0 ** (-(1.0 + eps) * s) / (1.0 - 2.0 ** -(1.0 + eps))
+            tail += outer * norm * 0.5 * (2.0**L * g1 - g2)
+        # size classes beyond L_top: full class initial capital, independent of L
+        tail += prop3_initial_capital(eps, delta) * 2.0 ** (-delta * (L_top + 1))
     return GridStrategyMixture(
         levels=tuple(levels),
         analytic_tail_capital=tail,
-        kind="prop3",
         descriptor=f"prop3(eps={eps:g},delta={delta:g},L<={L_top},j<={cut})",
         scale_cut=cut,
-        eps=eps,
-        delta=delta,
     )
 
 
 def _check_prop3_params(eps, delta) -> None:
     if eps is None or delta is None or not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
         raise BadWeights(f"prop3 mixture needs finite eps > 0 and delta > 0, got {eps}, {delta}")
+
+
+@contextmanager
+def _in_float_range(eps: float, delta: float):
+    """Report a float64 overflow of the prop3 weights or bound as :class:`BadWeights`."""
+    try:
+        yield
+    except OverflowError as e:
+        raise BadWeights(f"eps={eps:g}, delta={delta:g} overflow float64 in prop3") from e
 
 
 def prop3_initial_capital(eps: float, delta: float) -> float:
@@ -388,11 +425,15 @@ def verify_prop3_bound(
     Truncation drops only positive components, so a pass is a valid witness;
     a failure raises :class:`BoundViolated` and would indicate a defect in
     the construction, not in the inequality.  Bad parameters raise
-    :class:`BadWeights` (eps, delta) or :class:`BadSpec` (N).
+    :class:`BadWeights` (eps, delta, also when they overflow float64),
+    :class:`BadSpec` (N < 1) or :class:`TooLarge` (N + 1 above the DP limit).
     """
     _check_prop3_params(eps, delta)
+    check_dp_samples(N + 1)
     omega_n = discretize(path, N)
     sup = omega_n.sup
+    with _in_float_range(eps, delta):
+        sup_scale = max(1.0, sup) ** (2.0 + eps + delta)
     l_top = max(0, math.ceil(math.log2(sup))) if sup > 1.0 else 0
     mixture = volatility_mixture(
         None,
@@ -411,7 +452,7 @@ def verify_prop3_bound(
         * (1.0 - 2.0**-delta)
         * 2.0 ** (-6.0 - eps - delta)
         * variation
-        / max(1.0, sup) ** (2.0 + eps + delta)
+        / sup_scale
         - 0.25
     )
     passed = s_t > rhs

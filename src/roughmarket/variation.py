@@ -3,7 +3,8 @@
 All computations are exact on step paths: any partition of [0, T] evaluates
 the path at sample values, and any strictly increasing index subsequence
 through the first and last sample is realizable as a partition.  The DP over
-index subsequences therefore computes the true supremum, in O(n^2).
+index subsequences therefore computes the true supremum, in O(n^2); it takes
+at most :data:`MAX_DP_SAMPLES` samples.
 """
 
 from __future__ import annotations
@@ -12,17 +13,17 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
+from typing import Callable
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import psi_np
 from .errors import BadInterval, BadStep, InadmissiblePhi, TooLarge
 from .paths import PricePath, discretize
 
 __all__ = [
     "VariationFunctional",
     "psi",
+    "var_dp",
     "var_phi",
     "var_p",
     "brute_force_var_phi",
@@ -30,6 +31,7 @@ __all__ = [
     "CrossingCount",
     "crossings",
     "band_count",
+    "band_crossings",
     "grid_crossings",
     "phi_admissible",
     "AdmissibilityReport",
@@ -39,10 +41,17 @@ __all__ = [
 
 
 def psi(u):
-    """Gauge u^2 / (2 lnstar lnstar u), lnstar u = max(1, |ln u|), psi(0) = 0."""
-    if np.isscalar(u):
-        return float(psi_np(np.asarray([u]))[0])
-    return psi_np(u)
+    """Gauge u^2 / (2 lnstar lnstar u), lnstar u = max(1, |ln u|), psi(0) = 0.
+
+    Takes a scalar (returns a float) or an array of nonnegative values.
+    """
+    arr = np.asarray(u, dtype=np.float64)
+    out = np.zeros_like(arr)
+    pos = arr > 0.0
+    x = arr[pos]
+    lnstar = np.maximum(1.0, np.abs(np.log(x)))
+    out[pos] = x * x / (2.0 * np.maximum(1.0, np.log(lnstar)))
+    return out if out.ndim else float(out)  # not np.isscalar: 1 us per DP row
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,6 @@ class VariationFunctional:
         if self.kind == "power":
             if self.p is None or not (self.p > 0.0):
                 raise InadmissiblePhi("power gauge needs p > 0")
-        elif self.kind == "psi":
-            pass
         elif self.kind == "table":
             u = np.asarray(self.table_u, dtype=np.float64)
             v = np.asarray(self.table_phi, dtype=np.float64)
@@ -78,7 +85,7 @@ class VariationFunctional:
                 raise InadmissiblePhi("gauge values must be >= 0")
             object.__setattr__(self, "table_u", tuple(float(x) for x in u))
             object.__setattr__(self, "table_phi", tuple(float(x) for x in v))
-        else:
+        elif self.kind != "psi":
             raise InadmissiblePhi(f"unknown gauge kind {self.kind!r}")
 
     @classmethod
@@ -93,21 +100,28 @@ class VariationFunctional:
     def from_table(cls, u, phi_values) -> "VariationFunctional":
         return cls(kind="table", table_u=tuple(u), table_phi=tuple(phi_values))
 
-    def __call__(self, u):
-        u_arr = np.abs(np.asarray(u, dtype=np.float64))
+    def on_increments(self, d: np.ndarray) -> np.ndarray:
+        """The gauge on an array of nonnegative increments.
+
+        The variation DP calls this once per right end; the abs and scalar
+        handling of ``__call__`` would cost 10-25% of the p = 2.5 DP.
+        """
         if self.kind == "power":
-            out = u_arr**self.p
-        elif self.kind == "psi":
-            out = psi_np(u_arr)
-        else:
-            uu = np.asarray(self.table_u)
-            vv = np.asarray(self.table_phi)
-            out = np.interp(u_arr, uu, vv)
-            # continue the last segment linearly beyond the table
+            return d**self.p
+        if self.kind == "psi":
+            return psi(d)
+        uu = np.asarray(self.table_u)
+        vv = np.asarray(self.table_phi)
+        out = np.interp(d, uu, vv)
+        # continue the last segment linearly beyond the table
+        beyond = d > uu[-1]
+        if np.any(beyond):
             slope = (vv[-1] - vv[-2]) / (uu[-1] - uu[-2])
-            beyond = u_arr > uu[-1]
-            if np.any(beyond):
-                out = np.where(beyond, vv[-1] + slope * (u_arr - uu[-1]), out)
+            out = np.where(beyond, vv[-1] + slope * (d - uu[-1]), out)
+        return out
+
+    def __call__(self, u):
+        out = self.on_increments(np.abs(np.asarray(u, dtype=np.float64)))
         return float(out) if np.isscalar(u) else out
 
     @property
@@ -117,22 +131,38 @@ class VariationFunctional:
         return self.kind
 
 
-def _dp_gauge(phi: VariationFunctional):
-    """The gauge as the DP calls it, on nonnegative increments.
+MAX_DP_SAMPLES = 1 << 16  # the O(n^2) DP: 13 s (p = 2.5), 27 s (psi) at this size, 2-vCPU VM
 
-    Power and psi bypass ``VariationFunctional.__call__``: its abs, kind
-    dispatch and scalar check cost 10-25% of the p = 2.5 DP.
+
+def check_dp_samples(n: int) -> None:
+    """Raise :class:`TooLarge` if a DP over ``n`` samples exceeds :data:`MAX_DP_SAMPLES`."""
+    if n > MAX_DP_SAMPLES:
+        raise TooLarge(f"{n} samples; the exact variation DP takes at most {MAX_DP_SAMPLES}")
+
+
+def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None) -> float:
+    """Supremum over index chains 0 -> n-1 of the summed gauge of increments.
+
+    ``gauge`` maps an array of nonnegative increments to their gauge values.
+    ``first[i]``, when given, is the smallest index a chain may step from
+    into ``i`` (nondecreasing, ``first[i] < i``); by default any ``j < i``.
+    One Python loop over the right end of a step, a numpy reduction over its
+    left ends: O(n^2) time, O(n) memory.
     """
-    if phi.kind == "power":
-        p = phi.p
-        return lambda d: d**p
-    if phi.kind == "psi":
-        return psi_np
-    return phi
-
-
-def _var_phi_dp(path: PricePath, phi: VariationFunctional) -> float:
-    return _kernels.var_dp(path.values, _dp_gauge(phi))
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = values.shape[0]
+    check_dp_samples(n)
+    if n < 2:
+        return 0.0
+    if first is None:
+        first = np.zeros(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.float64)
+    best[0] = 0.0
+    for i in range(1, n):
+        lo = first[i]
+        d = np.abs(values[i] - values[lo:i])
+        best[i] = np.max(best[lo:i] + gauge(d))
+    return float(best[n - 1])
 
 
 def var_phi(path: PricePath, phi: VariationFunctional) -> float:
@@ -144,7 +174,7 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     if phi.kind == "power" and phi.p <= 1.0:
         d = np.abs(np.diff(path.values))
         return fsum(float(x) for x in d**phi.p)
-    return _var_phi_dp(path, phi)
+    return var_dp(path.values, phi.on_increments)
 
 
 def var_p(path: PricePath, p: float) -> float:
@@ -274,17 +304,18 @@ def band_count(sup: float, h: float) -> int:
     return int(math.floor(ratio)) + 1
 
 
-def grid_crossings(path: PricePath, h: float) -> CrossingCount:
-    """Aggregate band crossings over the grid (k*h, (k+1)*h), k*h <= sup.
+def band_crossings(path: PricePath, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-band up and down move counts over the grid (k*h, (k+1)*h), k*h <= sup.
 
-    Runs one dense state machine per band, vectorized across bands; kept
-    deliberately independent of the closed-form grid trading kernel so the
-    two can certify each other.
+    Band k counts what ``crossings(path, k*h, (k+1)*h)`` counts.  Runs one
+    dense state machine per band, vectorized across bands, in one pass over
+    the samples; kept deliberately independent of the closed-form grid
+    trading kernel so the two can certify each other.
     """
     values = path.values
     n_bands = band_count(float(values.max()), h)
     a = h * np.arange(n_bands)
-    b = a + h
+    b = h * np.arange(1, n_bands + 1)
     up = np.zeros(n_bands, dtype=np.int64)
     down = np.zeros(n_bands, dtype=np.int64)
     up_armed = np.zeros(n_bands, dtype=bool)
@@ -298,52 +329,52 @@ def grid_crossings(path: PricePath, h: float) -> CrossingCount:
         fired = down_armed & low
         down += fired
         down_armed = (down_armed & ~fired) | high
+    return up, down
+
+
+def grid_crossings(path: PricePath, h: float) -> CrossingCount:
+    """Aggregate band crossings over the grid (k*h, (k+1)*h), k*h <= sup."""
+    up, down = band_crossings(path, h)
     return CrossingCount(up=int(up.sum()), down=int(down.sum()), step=h)
+
+
+ADMISSIBLE_J_MAX = 64  # finest dyadic scale of the series probe
+ADMISSIBLE_FLAT_TOL = 0.05  # largest tail share of a numerically Cauchy series
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Numeric probe of the two gauge conditions needed by dyadic mixtures.
 
-    ``partial_sum`` accumulates 2^(2j) phi(2^-j) up to j_max; ``tail_trend``
-    is the relative mass of the last quarter of that sum (flat tail means the
-    series is numerically Cauchy).  Advisory, not a proof.
+    ``partial_sum`` accumulates 2^(2j) phi(2^-j) for j <= ADMISSIBLE_J_MAX;
+    ``tail_trend`` is the relative mass of the last quarter of that sum (flat
+    tail means the series is numerically Cauchy).  Advisory, not a proof.
     """
 
     admissible: bool
     ratio_sup_estimate: float
     partial_sum: float
     tail_trend: float
-    j_max: int
 
 
-def phi_admissible(
-    phi: VariationFunctional, j_max: int = 64, flat_tol: float = 0.05
-) -> AdmissibilityReport:
-    if j_max < 8:
-        raise ValueError("j_max must be >= 8")
-    j = np.arange(j_max + 1, dtype=np.float64)
+def phi_admissible(phi: VariationFunctional) -> AdmissibilityReport:
+    j = np.arange(ADMISSIBLE_J_MAX + 1, dtype=np.float64)
     w = np.asarray(phi(2.0**-j)) * 4.0**j
     partial = np.cumsum(w)
     total = float(partial[-1])
-    q3 = (3 * j_max) // 4
-    tail_trend = float((partial[-1] - partial[q3]) / max(total, 1e-300))
-    # doubling-ratio probe of sup phi(s)/phi(t) over t <= s <= 2t
-    ratio_sup = 0.0
-    for u in np.logspace(-9, 2, 45):
-        base = float(np.asarray(phi(u)))
-        if base <= 0.0:
-            continue
-        for s in np.linspace(u, 2.0 * u, 5):
-            r = float(np.asarray(phi(s))) / base
-            ratio_sup = max(ratio_sup, r)
-    admissible = tail_trend <= flat_tol and math.isfinite(total)
+    tail_trend = float((partial[-1] - partial[3 * ADMISSIBLE_J_MAX // 4]) / max(total, 1e-300))
+    # doubling-ratio probe of sup phi(s)/phi(t) over t <= s <= 2t; row 0 is
+    # s = t, and fmax skips the NaN of an overflowed inf / inf
+    t = np.logspace(-9, 2, 45)
+    s = np.linspace(t, 2.0 * t, 5)
+    g = np.asarray(phi(s.ravel()), dtype=np.float64).reshape(s.shape)
+    live = g[0] > 0.0
+    ratio_sup = float(np.fmax.reduce(g[:, live] / g[0, live], axis=None, initial=0.0))
     return AdmissibilityReport(
-        admissible=admissible,
+        admissible=tail_trend <= ADMISSIBLE_FLAT_TOL and math.isfinite(total),
         ratio_sup_estimate=ratio_sup,
         partial_sum=total,
         tail_trend=tail_trend,
-        j_max=j_max,
     )
 
 
@@ -376,7 +407,7 @@ def qvar_profile(path: PricePath, deltas) -> list[QvarPoint]:
         # anywhere in block j and leaving just before times[j+1], that is
         # times[i] - times[j+1] < d; adjacent blocks always qualify
         first = np.searchsorted(times[1:], times - d, side="right")
-        value = _kernels.var_dp(path.values, psi_np, first)
+        value = var_dp(path.values, psi, first)
         out.append(QvarPoint(delta=d, value=value, degenerate=d <= min_gap))
     return out
 
@@ -386,10 +417,12 @@ def variation_growth_profile(path: PricePath, p_grid, N_grid) -> dict:
 
     Finite-sample diagnostic for how variation grows under refinement; a
     direction-only probe, never a point estimate of a variation index.
+    Raises :class:`BadStep` unless ``N_grid`` increases, :class:`TooLarge` past the DP limit.
     """
     N_grid = [int(N) for N in N_grid]
     if any(n2 <= n1 for n1, n2 in zip(N_grid, N_grid[1:])):
-        raise ValueError("N_grid must be strictly increasing")
+        raise BadStep("N_grid must be strictly increasing")
+    check_dp_samples(max(N_grid, default=0) + 1)
     table = {}
     for N in N_grid:
         sub = discretize(path, N)

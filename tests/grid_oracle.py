@@ -1,4 +1,4 @@
-"""Event-driven reference for ``roughmarket._kernels.doob_grid_trace``.
+"""Event-driven reference for ``roughmarket.mixtures.doob_grid_trace``.
 
 Simulates the dyadic cell grid sample by sample: at each price move it buys
 one unit in every flat cell whose lower edge the price reached and sells in

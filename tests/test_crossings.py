@@ -5,6 +5,7 @@ import pytest
 
 from roughmarket import crossings, grid_crossings
 from roughmarket.errors import BadInterval, BadStep
+from roughmarket.variation import band_crossings
 
 from conftest import random_positive_path, step_path
 
@@ -60,13 +61,16 @@ class TestGridCrossings:
             path = random_positive_path(rng, n_max=50)
             h = float(rng.choice([0.125, 0.25, 0.5, 1.0]))
             g = grid_crossings(path, h)
+            band_up, band_down = band_crossings(path, h)
             up = down = 0
             k = 0
             while k * h <= path.sup:
                 c = crossings(path, k * h, (k + 1) * h)
+                assert (band_up[k], band_down[k]) == (c.up, c.down)
                 up += c.up
                 down += c.down
                 k += 1
+            assert k == len(band_up) == len(band_down)
             assert (g.up, g.down) == (up, down)
 
     def test_sawtooth_example(self):

@@ -221,6 +221,14 @@ MALFORMED = {
     "prop3-N-0": (["prop3", "--eps", "1", "--delta", "1", "--N", "0"], None),
     "prop3-eps-negative": (["prop3", "--eps", "-1", "--delta", "1", "--N", "16"], None),
     "prop3-delta-zero": (["prop3", "--eps", "1", "--delta", "0", "--N", "16"], None),
+    "prop3-eps-overflow": (["prop3", "--eps", "2000", "--delta", "1", "--N", "4"], None),
+    # a payload for prop3 gives the prices of the path to run on
+    "prop3-delta-overflow": (["prop3", "--eps", "1", "--delta", "2000", "--N", "4"], [1, 900, 1]),
+    "prop3-eps-overflow-high-path": (
+        ["prop3", "--eps", "150", "--delta", "1", "--N", "4"],
+        [1, 900, 1],
+    ),
+    "prop3-N-huge": (["prop3", "--eps", "1", "--delta", "1", "--N", "4000000000"], None),
     "crossings-step-0": (["crossings", "--step", "0"], None),
     "crossings-step-negative": (["crossings", "--step", "-1"], None),
     "crossings-step-tiny": (["crossings", "--step", "1e-12"], None),
@@ -240,6 +248,18 @@ MALFORMED = {
         {"kind": "oracle-suite", "seeds": [1], "params": {"max_samples": "x"}},
     ),
     "run-grid-not-list": (["run"], {"kind": "prop3-check", "seeds": [1], "params": {"N": 64}}),
+    "run-prop3-N-above-dp-limit": (
+        ["run"],
+        {"kind": "prop3-check", "seeds": [1], "params": {"N": [70000]}},
+    ),
+    "run-growth-N-above-dp-limit": (
+        ["run"],
+        {"kind": "growth-profile", "seeds": [1], "params": {"N": [64, 70000]}},
+    ),
+    "run-growth-N-not-increasing": (
+        ["run"],
+        {"kind": "growth-profile", "seeds": [1], "params": {"N": [64, 16]}},
+    ),
     "run-generator-unknown-field": (
         ["run"],
         {"kind": "growth-profile", "seeds": [1], "generator": {"kind": "constant", "x": 1}},
@@ -261,7 +281,12 @@ class TestMalformedInput:
         argv, payload = MALFORMED[name]
         argv = list(argv)
         if argv[0] in ("prop3", "crossings"):
-            argv += ["--path", str(sample_csv)]
+            path_file = sample_csv
+            if payload is not None:
+                path_file = tmp_path / "prices.csv"
+                spec = GeneratorSpec(kind="custom-steps", n_samples=len(payload), values=payload)
+                write_path(generate(spec), path_file)
+            argv += ["--path", str(path_file)]
         elif payload is not None:
             f = tmp_path / "input.json"
             f.write_text(json.dumps(payload))

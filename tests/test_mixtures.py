@@ -17,7 +17,6 @@ from roughmarket import (
     verify_prop3_bound,
     volatility_mixture,
 )
-from roughmarket._kernels import doob_grid_trace
 from roughmarket.errors import (
     BadWeights,
     BoundViolated,
@@ -25,7 +24,7 @@ from roughmarket.errors import (
     NegativeComponent,
     TruncationUnsafe,
 )
-from roughmarket.mixtures import _resolve_scale_cut, prop3_initial_capital
+from roughmarket.mixtures import _resolve_scale_cut, doob_grid_trace, prop3_initial_capital
 
 from conftest import random_positive_path, step_path
 from grid_oracle import doob_grid_events

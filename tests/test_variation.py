@@ -15,7 +15,7 @@ from roughmarket import (
     variation_growth_profile,
 )
 from roughmarket.errors import BadStep, TooLarge
-from roughmarket.variation import _var_phi_dp
+from roughmarket.variation import MAX_DP_SAMPLES, var_dp
 
 from conftest import random_positive_path, step_path
 
@@ -56,7 +56,7 @@ class TestVarPhi:
             for p in (0.3, 0.5, 1.0):
                 phi = VariationFunctional.power(p)
                 assert var_phi(path, phi) == pytest.approx(
-                    _var_phi_dp(path, phi), rel=1e-12
+                    var_dp(path.values, phi.on_increments), rel=1e-12
                 )
 
     def test_monotone_identity_p_ge_1(self):
@@ -75,6 +75,14 @@ class TestVarPhi:
         grid = [1.0, 1.5, 2.0, 2.5, 3.0]
         out = [var_p(path, p) for p in grid]
         assert all(b <= a + 1e-12 for a, b in zip(out, out[1:]))
+
+    def test_dp_size_guard(self):
+        # raised before the O(n^2) loop runs or the grid is discretized
+        path = step_path(np.ones(MAX_DP_SAMPLES + 1))
+        with pytest.raises(TooLarge):
+            var_phi(path, VariationFunctional.power(2.5))
+        with pytest.raises(TooLarge):
+            variation_growth_profile(step_path([1.0, 2.0]), [2.5], [16, MAX_DP_SAMPLES])
 
 
 class TestBruteForce:
@@ -153,10 +161,6 @@ class TestAdmissibility:
         # the loglog correction decays too slowly for the dyadic series
         rep = phi_admissible(VariationFunctional.taylor_psi())
         assert not rep.admissible
-
-    def test_j_max_floor(self):
-        with pytest.raises(ValueError):
-            phi_admissible(VariationFunctional.power(2.5), j_max=4)
 
 
 class TestQvar:
