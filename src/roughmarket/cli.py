@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .errors import RoughMarketError
+from .errors import ParseError, RoughMarketError
 from .experiments import (
     ExperimentConfig,
     RunReport,
@@ -59,7 +59,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _floats(csv_text: str) -> list[float]:
-    return [float(x) for x in csv_text.split(",") if x.strip()]
+    try:
+        return [float(x) for x in csv_text.split(",") if x.strip()]
+    except ValueError as e:
+        raise ParseError(f"expected comma-separated numbers: {e}") from e
 
 
 def _cmd_generate(args) -> int:

@@ -244,7 +244,10 @@ def _derive_scale_cut(path: PricePath) -> int:
     d = d[d > 0.0]
     if d.size == 0:
         return 2
-    return int(math.floor(math.log2(4.0 / float(d.min()))))
+    smallest = float(d.min())
+    if smallest < 1e-300:  # 4 / smallest overflows for a subnormal move
+        return int(math.floor(2.0 - math.log2(smallest)))
+    return int(math.floor(math.log2(4.0 / smallest)))
 
 
 def _resolve_scale_cut(
@@ -370,6 +373,8 @@ def volatility_mixture(
 def _check_prop3_params(eps, delta) -> None:
     if eps is None or delta is None or not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
         raise BadWeights(f"prop3 mixture needs finite eps > 0 and delta > 0, got {eps}, {delta}")
+    if 2.0**-eps == 1.0 or 2.0**-delta == 1.0:  # the weights divide by 1 - 2^-eps
+        raise BadWeights(f"eps={eps:g}, delta={delta:g}: 1 - 2^-eps or 1 - 2^-delta is 0 in float64")
 
 
 @contextmanager

@@ -3,8 +3,12 @@
 All computations are exact on step paths: any partition of [0, T] evaluates
 the path at sample values, and any strictly increasing index subsequence
 through the first and last sample is realizable as a partition.  The DP over
-index subsequences therefore computes the true supremum, in O(n^2); it takes
-at most :data:`MAX_DP_SAMPLES` samples.
+index subsequences therefore computes the true supremum.  For star-shaped
+gauges (phi(u)/u nondecreasing) :func:`var_phi` runs it on the turning points
+with a stack of undominated left ends, near-linear on typical paths;
+:func:`var_dp` is the O(n^2) DP over every sample, which the mesh-constrained
+:func:`qvar_profile` and other gauges use.  Both take at most
+:data:`MAX_DP_SAMPLES` samples.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "VariationFunctional",
     "psi",
     "var_dp",
+    "turning_points",
     "var_phi",
     "var_p",
     "brute_force_var_phi",
@@ -40,17 +45,19 @@ __all__ = [
 ]
 
 
+_TINY = math.ulp(0.0)
+
+
 def psi(u):
     """Gauge u^2 / (2 lnstar lnstar u), lnstar u = max(1, |ln u|), psi(0) = 0.
 
-    Takes a scalar (returns a float) or an array of nonnegative values.
+    Takes a scalar (returns a float) or an array of nonnegative values.  The
+    first log sees at least the smallest subnormal, so psi(0) = 0 needs no
+    mask (a mask costs a third of a call on DP-sized arrays).
     """
     arr = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    x = arr[pos]
-    lnstar = np.maximum(1.0, np.abs(np.log(x)))
-    out[pos] = x * x / (2.0 * np.maximum(1.0, np.log(lnstar)))
+    lnstar = np.maximum(1.0, np.abs(np.log(np.maximum(arr, _TINY))))
+    out = arr * arr / (2.0 * np.maximum(1.0, np.log(lnstar)))
     return out if out.ndim else float(out)  # not np.isscalar: 1 us per DP row
 
 
@@ -115,7 +122,7 @@ class VariationFunctional:
         out = np.interp(d, uu, vv)
         # continue the last segment linearly beyond the table
         beyond = d > uu[-1]
-        if np.any(beyond):
+        if beyond.any():
             slope = (vv[-1] - vv[-2]) / (uu[-1] - uu[-2])
             out = np.where(beyond, vv[-1] + slope * (d - uu[-1]), out)
         return out
@@ -125,13 +132,33 @@ class VariationFunctional:
         return float(out) if np.isscalar(u) else out
 
     @property
+    def star_shaped(self) -> bool:
+        """Whether phi(u)/u is nondecreasing on u > 0.
+
+        Power gauges with p >= 1 are, and so is psi: psi(u)/u =
+        u / (2 lnstar lnstar u) rises on each of u < e^-e, [e^-e, e^e] and
+        u > e^e and is continuous at both joins.  A table is when its node
+        ratios phi_k/u_k (k >= 1) are nondecreasing: on each segment, and on
+        the linear continuation past the last node, the ratio is monotone
+        between its end values.
+        """
+        if self.kind == "power":
+            return self.p >= 1.0
+        if self.kind == "psi":
+            return True
+        ratios = [v / u for u, v in zip(self.table_u[1:], self.table_phi[1:])]
+        return all(a <= b for a, b in zip(ratios, ratios[1:]))
+
+    @property
     def label(self) -> str:
         if self.kind == "power":
             return f"p={self.p:g}"
         return self.kind
 
 
-MAX_DP_SAMPLES = 1 << 16  # the O(n^2) DP: 13 s (p = 2.5), 27 s (psi) at this size, 2-vCPU VM
+# at this size, 2-vCPU VM: var_dp 15 s (p = 2.5), 21 s (psi); var_phi 0.2 s on
+# fractional noise, 3 s on a drift with small reversals (p = 2.5, one deep stack)
+MAX_DP_SAMPLES = 1 << 16
 
 
 def check_dp_samples(n: int) -> None:
@@ -165,16 +192,99 @@ def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None)
     return float(best[n - 1])
 
 
+def turning_points(values: np.ndarray) -> np.ndarray:
+    """Values of the first and last sample and of the strict local extrema
+    between them, once plateaus are merged.
+
+    Consecutive points alternate strictly between minima and maxima (the
+    endpoints count as extrema), except on a constant sequence, which keeps
+    its two endpoints.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    moves = np.diff(values)
+    moved = np.flatnonzero(moves)
+    if moved.size == 0:
+        return values[[0, -1]]
+    up = moves[moved] > 0.0
+    # the level between two moves of opposite sign is an extremum
+    turns = moved[1:][up[1:] != up[:-1]]
+    return np.concatenate((values[:1], values[turns], values[-1:]))
+
+
+def _star_dp(y: np.ndarray, gauge: Callable) -> float:
+    """The variation DP over alternating turning points ``y``, at least two.
+
+    Extrema of one type have indices of one parity, and each parity keeps a
+    stack of its undominated entries (see :func:`var_phi`).  With c = y at
+    maxima and c = -y at minima, a step between opposite types has increment
+    c_i + c_j, and an entry j of i's type is dominated once c_j <= c_i, so
+    each stack holds strictly decreasing c from the bottom up.  The stacks
+    live in preallocated arrays; Python lists mirror their c for the pops.
+    """
+    m = y.shape[0]
+    c = y.copy()
+    c[int(y[1] < y[0]) :: 2] *= -1.0  # the minima
+    cl = c.tolist()
+    stack_c = (np.empty(m), np.empty(m))
+    stack_best = (np.empty(m), np.empty(m))
+    mirrors = ([cl[0]], [])
+    stack_c[0][0] = cl[0]
+    stack_best[0][0] = 0.0
+    for i in range(1, m):
+        ci = cl[i]
+        own = i & 1
+        left = own ^ 1
+        t = len(mirrors[left])
+        # the method, not np.max, which adds 2 us per point
+        best = (stack_best[left][:t] + gauge(ci + stack_c[left][:t])).max()
+        stack = mirrors[own]
+        while stack and stack[-1] <= ci:
+            stack.pop()
+        t = len(stack)
+        stack.append(ci)
+        stack_c[own][t] = ci
+        stack_best[own][t] = best
+    return float(best)
+
+
 def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     """Supremum over all partitions of sum phi(|increment|); exact on step paths.
 
     For power gauges with p <= 1 the finest partition is optimal
-    (subadditivity), so an O(n) sum is used; one DP covers every other gauge.
+    (subadditivity), so an O(n) sum is used.  A star-shaped gauge (phi(u)/u
+    nondecreasing: power with p > 1, psi, a table whose node ratios
+    phi_k/u_k are nondecreasing) is nondecreasing and superadditive, which
+    gives three facts about the DP over index chains:
+
+    (a) Turning points.  Some optimal chain uses only the endpoints and the
+        strict local extrema of the sequence once plateaus are merged: a
+        chain point inside a monotone run either lies between its chain
+        neighbours and can be dropped (superadditivity), or can move to the
+        end of its run, which lengthens both of its increments.
+    (b) Alternation.  A step into a maximum comes from a minimum strictly
+        below it, and a step into a minimum from a maximum strictly above
+        it: between two chain points of one type, or a misordered pair,
+        inserting the adjacent extremum never lowers the sum.
+    (c) Dominance.  The best chain value never decreases along extrema of
+        one type, because a chain can be extended through the extremum
+        between them.  So a minimum is dominated once a later minimum is at
+        or below it (a maximum once a later one is at or above it).  The
+        candidate left ends form a stack of minima with strictly increasing
+        values (maxima: strictly decreasing), and every entry on the stack is
+        a valid left end for the next extremum.
+
+    The DP is then one pass over the m turning points, one gauge call over
+    the opposite stack per point: near-linear on typical paths, O(m^2) when
+    small reversals of a drifting path keep the stack growing.  Other gauges
+    take the O(n^2) :func:`var_dp` over every sample.
     """
     if phi.kind == "power" and phi.p <= 1.0:
         d = np.abs(np.diff(path.values))
         return fsum(float(x) for x in d**phi.p)
-    return var_dp(path.values, phi.on_increments)
+    if not phi.star_shaped:
+        return var_dp(path.values, phi.on_increments)
+    check_dp_samples(path.values.shape[0])
+    return _star_dp(turning_points(path.values), phi.on_increments)
 
 
 def var_p(path: PricePath, p: float) -> float:

@@ -1,0 +1,166 @@
+"""Fuzzed command lines: every drawn argument vector, path file, generator
+spec and suite config ends with exit code 0, 1 or 2 within a few seconds, and
+nothing escapes ``main`` but argparse's own ``SystemExit(2)``.
+
+Sizes are drawn small (paths of at most 30 samples, N and n_samples in the
+hundreds) or far past a size guard, so an example that runs is quick and one
+that would not be is rejected before it allocates.
+"""
+
+import json
+import signal
+import tempfile
+from datetime import timedelta
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from roughmarket.cli import main
+from roughmarket.experiments import EXPERIMENT_KINDS
+from roughmarket.paths import GENERATOR_KINDS, MAX_SAMPLES
+
+SPECIAL_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e400", "abc", "")
+
+
+def numbers(lo, hi):
+    """Number arguments as text: mostly in [lo, hi], sometimes malformed."""
+    return st.one_of(
+        st.floats(lo, hi, allow_nan=False).map(repr),
+        st.integers(int(lo), int(hi)).map(str),
+        st.sampled_from(SPECIAL_NUMBERS),
+    )
+
+
+PRICES = st.one_of(
+    st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=2, max_size=30),
+    st.lists(st.integers(0, 4).map(float), min_size=2, max_size=30),  # plateaus
+    st.lists(st.floats(-1.0, 1e6, allow_nan=False), max_size=5),  # often rejected
+)
+
+SIZES = st.one_of(
+    st.integers(-2, 300), st.sampled_from([MAX_SAMPLES + 1, 10**12]), st.sampled_from(["abc", 3.5])
+)
+
+SPEC_FIELDS = {
+    "seed": st.one_of(st.integers(-1, 2**64), st.just("x")),
+    "horizon": st.floats(-1.0, 3.0, allow_nan=False),
+    "level": st.floats(-1.0, 3.0, allow_nan=False),
+    "start": st.floats(-1.0, 3.0, allow_nan=False),
+    "eps": st.floats(-3.0, 3.0, allow_nan=False),
+    "sigma": st.floats(0.0, 2.0, allow_nan=False),
+    "drift": st.floats(-2.0, 2.0, allow_nan=False),
+    "hurst": st.floats(-0.5, 1.5, allow_nan=False),
+    "jump_rate": st.floats(-1.0, 50.0, allow_nan=False),
+    "jump_sigma": st.floats(0.0, 1.0, allow_nan=False),
+    "values": st.one_of(st.lists(st.floats(-1.0, 10.0, allow_nan=False), max_size=30), st.just("x")),
+    "times": st.lists(st.floats(0.0, 2.0, allow_nan=False), max_size=30),
+    "bogus": st.just(1),
+}
+
+
+@st.composite
+def specs(draw):
+    spec = {"kind": draw(st.sampled_from(GENERATOR_KINDS + ("bogus",)))}
+    if draw(st.integers(0, 9)):  # n_samples is sometimes missing
+        spec["n_samples"] = draw(SIZES)
+    for name in draw(st.lists(st.sampled_from(sorted(SPEC_FIELDS)), max_size=4, unique=True)):
+        spec[name] = draw(SPEC_FIELDS[name])
+    return spec
+
+
+CONFIG_PARAMS = {
+    "max_samples": st.integers(-1, 12),
+    "n_samples": st.integers(-1, 200),
+    "N": st.one_of(st.lists(st.integers(-1, 128), min_size=1, max_size=3), st.just(64)),
+    "eps": st.lists(st.floats(-1.0, 3.0, allow_nan=False), min_size=1, max_size=2),
+    "delta": st.lists(st.floats(-1.0, 3.0, allow_nan=False), min_size=1, max_size=2),
+    "p": st.one_of(st.lists(st.floats(-1.0, 4.0, allow_nan=False), min_size=1, max_size=2),
+                   st.floats(-1.0, 4.0, allow_nan=False)),
+    "horizon": st.floats(-1.0, 2.0, allow_nan=False),
+    "rel_tol": st.floats(0.0, 1.0, allow_nan=False),
+    "j_max": st.integers(-2, 12),
+    "L": st.integers(-1, 2),
+}
+
+
+@st.composite
+def configs(draw):
+    config = {
+        "kind": draw(st.sampled_from(EXPERIMENT_KINDS + ("bogus",))),
+        "seeds": draw(st.one_of(st.lists(st.integers(0, 3), min_size=1, max_size=2),
+                                st.just([]), st.just(["x"]))),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(CONFIG_PARAMS)), max_size=4, unique=True))
+    config["params"] = {name: draw(CONFIG_PARAMS[name]) for name in names}
+    if draw(st.booleans()):
+        generator = draw(specs())
+        generator.pop("seed", None)
+        config["generator"] = generator
+    return config
+
+
+@st.composite
+def command_lines(draw):
+    """(argv after the command's file arguments, prices, JSON payload)."""
+    command = draw(st.sampled_from(["prop3", "crossings", "generate", "variation", "run"]))
+    if command == "prop3":
+        args = ["--eps", draw(numbers(0.05, 4.0)), "--delta", draw(numbers(0.05, 4.0)),
+                "--N", draw(st.one_of(st.integers(-2, 256).map(str),
+                                      st.sampled_from(["4000000000", "1.5", "x"])))]
+        if draw(st.booleans()):
+            args += ["--j-max", draw(st.integers(-3, 30).map(str))]
+        return [command] + args, draw(PRICES), None
+    if command == "crossings":
+        if draw(st.booleans()):
+            args = ["--step", draw(numbers(1e-3, 10.0))]
+        else:
+            args = [flag for name in draw(st.lists(st.sampled_from(["--a", "--b"]), unique=True))
+                    for flag in (name, draw(numbers(-1.0, 10.0)))]
+        return [command] + args, draw(PRICES), None
+    if command == "variation":
+        ps = draw(st.lists(numbers(0.1, 4.0), max_size=4))
+        args = ["--p", ",".join(ps)] + (["--psi"] if draw(st.booleans()) else [])
+        return [command] + args, draw(PRICES), None
+    if command == "generate":
+        return [command], None, draw(specs())
+    return [command], None, draw(configs())
+
+
+@settings(
+    max_examples=300,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(command_lines())
+def test_cli_exit_codes(tmp_path, command_line):
+    argv, prices, payload = command_line
+    argv = list(argv)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))  # one per example
+    out = work / "out"
+    if prices is not None:
+        n = len(prices)
+        rows = [f"{k / max(n - 1, 1)!r},{x!r}" for k, x in enumerate(prices)]
+        path_file = work / "path.csv"
+        path_file.write_text("t,x\n" + "\n".join(rows) + "\n")
+        argv += ["--path", str(path_file), "--out", str(out)]
+    else:
+        payload_file = work / "input.json"
+        payload_file.write_text(json.dumps(payload))
+        flag = "--spec" if argv[0] == "generate" else "--config"
+        argv += [flag, str(payload_file), "--out", str(out)]
+
+    def too_slow(signum, frame):
+        raise AssertionError(f"{argv} still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(20)
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        assert e.code == 2, argv
+        return
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc in (0, 1, 2), argv

@@ -16,6 +16,7 @@ from roughmarket import (
 from roughmarket.cli import main
 from roughmarket.errors import CaseFailure, ConfigError, UnknownSeries
 from roughmarket.experiments import report_canonical_bytes
+from roughmarket.paths import MAX_SAMPLES
 
 
 class TestConfig:
@@ -229,6 +230,9 @@ MALFORMED = {
         [1, 900, 1],
     ),
     "prop3-N-huge": (["prop3", "--eps", "1", "--delta", "1", "--N", "4000000000"], None),
+    # 1 - 2^-eps rounds to 0, and the prop3 weights divide by it
+    "prop3-eps-tiny": (["prop3", "--eps", "1e-300", "--delta", "1", "--N", "4"], None),
+    "prop3-delta-tiny": (["prop3", "--eps", "1", "--delta", "1e-17", "--N", "4"], None),
     "crossings-step-0": (["crossings", "--step", "0"], None),
     "crossings-step-negative": (["crossings", "--step", "-1"], None),
     "crossings-step-tiny": (["crossings", "--step", "1e-12"], None),
@@ -238,6 +242,13 @@ MALFORMED = {
         {"kind": "custom-steps", "n_samples": 2, "values": ["x", 1]},
     ),
     "spec-missing-n-samples": (["generate"], {"kind": "constant"}),
+    "spec-custom-steps-empty": (["generate"], {"kind": "custom-steps", "n_samples": 0, "values": []}),
+    "spec-custom-steps-one-value": (
+        ["generate"],
+        {"kind": "custom-steps", "n_samples": 1, "values": [1.0]},
+    ),
+    "spec-n-samples-huge": (["generate"], {"kind": "exp-fractional", "n_samples": 10**10}),
+    "spec-n-samples-above-cap": (["generate"], {"kind": "constant", "n_samples": MAX_SAMPLES + 1}),
     "run-eps-negative": (
         ["run"],
         {"kind": "prop3-check", "seeds": [1], "params": {"eps": [-1], "N": [16]}},
@@ -259,6 +270,24 @@ MALFORMED = {
     "run-growth-N-not-increasing": (
         ["run"],
         {"kind": "growth-profile", "seeds": [1], "params": {"N": [64, 16]}},
+    ),
+    "run-prop3-generator-n-samples-huge": (
+        ["run"],
+        {
+            "kind": "prop3-check",
+            "seeds": [1],
+            "params": {"N": [16]},
+            "generator": {"kind": "exp-fractional", "n_samples": 10**10},
+        },
+    ),
+    "run-growth-generator-n-samples-huge": (
+        ["run"],
+        {
+            "kind": "growth-profile",
+            "seeds": [1],
+            "params": {"N": [16, 64]},
+            "generator": {"kind": "jump", "n_samples": 10**10},
+        },
     ),
     "run-generator-unknown-field": (
         ["run"],

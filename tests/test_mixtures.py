@@ -128,6 +128,12 @@ class TestVolatilityMixtureConstruction:
         # smallest move 1 keeps every scale coarser than 1/4
         assert mix.scale_cut == 2
 
+    def test_subnormal_move_hits_the_cell_budget(self):
+        # 4 / 2^-1030 overflows; the derived cut is 1032, and the budget lowers it
+        tiny = step_path([2.0**-1030, 0.0, 1.0])
+        mix = volatility_mixture(None, 0, path_hint=tiny, kind="prop3", eps=1.0, delta=1.0)
+        assert 20 < mix.scale_cut < 64
+
 
 class TestGridAgainstExplicit:
     def test_prop1_trace_equality(self):

@@ -11,7 +11,8 @@ from roughmarket import (
     read_path,
     write_path,
 )
-from roughmarket.errors import BadSpec, BadTimeGrid, NonPositiveValue, ParseError
+from roughmarket.errors import BadSpec, BadTimeGrid, NonPositiveValue, ParseError, TooLarge
+from roughmarket.paths import GENERATOR_KINDS, MAX_SAMPLES, _validate_spec
 
 from conftest import step_path
 
@@ -74,6 +75,18 @@ class TestGenerate:
             generate(GeneratorSpec(kind="no-such", n_samples=8))
         with pytest.raises(BadSpec):
             generate(GeneratorSpec(kind="constant", n_samples=4, seed=-1))
+
+    def test_size_guard(self):
+        # raised before any array of the path's size exists
+        for kind in GENERATOR_KINDS[:-1]:
+            with pytest.raises(TooLarge):
+                generate(GeneratorSpec(kind=kind, n_samples=10**12))
+            _validate_spec(GeneratorSpec(kind=kind, n_samples=MAX_SAMPLES))
+        too_long = (1.0,) * (MAX_SAMPLES + 1)
+        with pytest.raises(TooLarge):
+            generate(GeneratorSpec(kind="custom-steps", n_samples=2, values=too_long))
+        with pytest.raises(TooLarge):
+            generate(GeneratorSpec(kind="custom-steps", n_samples=2, values=(1.0, 2.0), times=too_long))
 
     def test_deterministic_in_seed(self):
         spec = GeneratorSpec(kind="exp-fractional", n_samples=300, hurst=0.3, seed=11)

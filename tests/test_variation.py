@@ -14,6 +14,7 @@ from roughmarket import (
     var_signed,
     variation_growth_profile,
 )
+from roughmarket import variation
 from roughmarket.errors import BadStep, TooLarge
 from roughmarket.variation import MAX_DP_SAMPLES, var_dp
 
@@ -83,6 +84,107 @@ class TestVarPhi:
             var_phi(path, VariationFunctional.power(2.5))
         with pytest.raises(TooLarge):
             variation_growth_profile(step_path([1.0, 2.0]), [2.5], [16, MAX_DP_SAMPLES])
+
+
+STAR_GAUGES = tuple(
+    [VariationFunctional.power(p) for p in (1.5, 2.0, 2.5, 3.0)]
+    + [
+        VariationFunctional.taylor_psi(),
+        # convex table: node ratios 0.5, 1, 2, 4 rise, then the linear continuation
+        VariationFunctional.from_table([0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 0.25, 1.0, 4.0, 16.0]),
+    ]
+)
+
+# sqrt(u) at its nodes: concave, so the node ratios fall
+SQRT_TABLE = VariationFunctional.from_table([0.0, 0.25, 1.0, 4.0, 9.0], [0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def reduction_paths(draw, max_samples):
+    """Prices built from monotone runs, plateaus, levels revisited across
+    extrema and drifts with small reversals (deep candidate stacks), on an
+    integer grid so ties are common, then scaled."""
+    v = [draw(st.integers(0, 6))]
+    for _ in range(draw(st.integers(1, 12))):
+        room = max_samples - len(v)
+        if room <= 0:
+            break
+        kind = draw(st.sampled_from(["run", "plateau", "level", "drift"]))
+        length = draw(st.integers(1, min(room, 40)))
+        if kind == "run":
+            step = draw(st.sampled_from([-2, -1, 1, 2]))
+            v += [v[-1] + step * (k + 1) for k in range(length)]
+        elif kind == "plateau":
+            v += [v[-1]] * length
+        elif kind == "level":
+            v += draw(st.lists(st.integers(0, 6), min_size=1, max_size=length))
+        else:
+            up = draw(st.sampled_from([-1, 1]))
+            for k in range(length):
+                v.append(v[-1] + up * (2 if k % 2 == 0 else -1))
+    scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.0**-7]))
+    base = min(v)
+    return step_path([(x - base) * scale + 1.0 for x in v[:max_samples]])
+
+
+def edge_paths(max_samples):
+    """Paths of two or three samples, and constant paths."""
+    return st.one_of(
+        st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=2, max_size=3).map(step_path),
+        st.tuples(st.floats(0.0, 10.0, allow_nan=False), st.integers(2, max_samples)).map(
+            lambda c: step_path([c[0]] * c[1])
+        ),
+    )
+
+
+class TestTurningPointReduction:
+    """The reduced DP (turning points, alternation, dominance stacks) against
+    the DP over every sample and the exhaustive oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(reduction_paths(200), edge_paths(200)))
+    def test_matches_full_dp(self, path):
+        for phi in STAR_GAUGES:
+            full = var_dp(path.values, phi.on_increments)
+            assert var_phi(path, phi) == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(reduction_paths(13), edge_paths(13)))
+    def test_matches_oracle(self, path):
+        for phi in STAR_GAUGES:
+            slow = brute_force_var_phi(path, phi)
+            assert var_phi(path, phi) == pytest.approx(slow, rel=1e-12, abs=0.0)
+
+    def test_star_shape_predicate(self):
+        assert all(phi.star_shaped for phi in STAR_GAUGES)
+        assert VariationFunctional.power(1.0).star_shaped
+        assert not VariationFunctional.power(0.5).star_shaped
+        # node ratios 1, 2, 5/3: the ratio falls at the last node
+        assert not VariationFunctional.from_table([0, 1, 2, 3], [0, 1, 4, 5]).star_shaped
+        # linear table: every node ratio equal
+        assert VariationFunctional.from_table([0, 1, 2, 4], [0, 3, 6, 12]).star_shaped
+        assert not SQRT_TABLE.star_shaped
+
+    def test_star_gauges_take_the_reduced_dp(self, monkeypatch):
+        def no_full_dp(*args):
+            raise AssertionError("full DP ran on a star-shaped gauge")
+
+        monkeypatch.setattr(variation, "var_dp", no_full_dp)
+        path = step_path([1.0, 3.0, 2.0, 2.0, 5.0, 1.0, 4.0])
+        for phi in STAR_GAUGES:
+            assert var_phi(path, phi) > 0.0
+
+    def test_concave_table_takes_the_full_dp(self, monkeypatch):
+        def no_reduced_dp(*args):
+            raise AssertionError("reduced DP ran on a gauge that is not star-shaped")
+
+        monkeypatch.setattr(variation, "_star_dp", no_reduced_dp)
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            path = random_positive_path(rng, n_max=12)
+            assert var_phi(path, SQRT_TABLE) == pytest.approx(
+                brute_force_var_phi(path, SQRT_TABLE), rel=1e-12
+            )
 
 
 class TestBruteForce:
