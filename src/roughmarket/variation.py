@@ -92,6 +92,11 @@ class VariationFunctional:
                 raise InadmissiblePhi("gauge values must be >= 0")
             object.__setattr__(self, "table_u", tuple(float(x) for x in u))
             object.__setattr__(self, "table_phi", tuple(float(x) for x in v))
+            # node arrays for on_increments, built once; not dataclass
+            # fields, so == and hash still see the tuples only
+            u.setflags(write=False)
+            v.setflags(write=False)
+            object.__setattr__(self, "_nodes", (u, v))
         elif self.kind != "psi":
             raise InadmissiblePhi(f"unknown gauge kind {self.kind!r}")
 
@@ -110,15 +115,15 @@ class VariationFunctional:
     def on_increments(self, d: np.ndarray) -> np.ndarray:
         """The gauge on an array of nonnegative increments.
 
-        The variation DP calls this once per right end; the abs and scalar
-        handling of ``__call__`` would cost 10-25% of the p = 2.5 DP.
+        The variation DPs call this on whole blocks of increments; the abs
+        and scalar handling of ``__call__`` would cost 10-25% of the p = 2.5
+        DP.
         """
         if self.kind == "power":
             return d**self.p
         if self.kind == "psi":
             return psi(d)
-        uu = np.asarray(self.table_u)
-        vv = np.asarray(self.table_phi)
+        uu, vv = self._nodes
         out = np.interp(d, uu, vv)
         # continue the last segment linearly beyond the table
         beyond = d > uu[-1]
@@ -167,14 +172,30 @@ def check_dp_samples(n: int) -> None:
         raise TooLarge(f"{n} samples; the exact variation DP takes at most {MAX_DP_SAMPLES}")
 
 
+_DP_BLOCK = 24  # right ends per block of var_dp; 16-32 measure alike
+
+
 def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None) -> float:
     """Supremum over index chains 0 -> n-1 of the summed gauge of increments.
 
-    ``gauge`` maps an array of nonnegative increments to their gauge values.
-    ``first[i]``, when given, is the smallest index a chain may step from
-    into ``i`` (nondecreasing, ``first[i] < i``); by default any ``j < i``.
-    One Python loop over the right end of a step, a numpy reduction over its
-    left ends: O(n^2) time, O(n) memory.
+    ``gauge`` maps an array of nonnegative increments to their gauge values,
+    elementwise.  ``first[i]``, when given, is the smallest index a chain may
+    step from into ``i`` (nondecreasing, ``first[i] < i``); by default any
+    ``j < i``.  best[i] is the max over those j of best[j] + gauge(|x_i - x_j|).
+
+    Right ends go in blocks [s, e) of :data:`_DP_BLOCK`.  Left ends before
+    the block, [first[s], s), take one gauge call on the (e-s) x window
+    increments and one row max, with entries j < first[i] set to -inf (a row
+    may start after first[s]).  Left ends inside the block take one gauge
+    call on the (e-s) x (e-s) increments and a scalar loop over the pairs
+    max(first[i], s) <= j < i, each row starting from its pre-block max.
+    Every candidate best[j] + g is the same float sum as in the one-row-
+    per-right-end DP and max is exact, so the result is bit-identical to it
+    whenever the gauge gives an element of a 2-D array the value it gives
+    the same element of a 1-D slice (psi, powers and ``np.interp`` are
+    elementwise).  No candidate is NaN, since increments of finite prices
+    are finite and the gauges map them to non-NaN values, so the scalar
+    ``v > m`` agrees with ``np.max``.  O(n^2) time, O(n) memory.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -183,13 +204,29 @@ def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None)
         return 0.0
     if first is None:
         first = np.zeros(n, dtype=np.int64)
-    best = np.empty(n, dtype=np.float64)
-    best[0] = 0.0
-    for i in range(1, n):
-        lo = first[i]
-        d = np.abs(values[i] - values[lo:i])
-        best[i] = np.max(best[lo:i] + gauge(d))
-    return float(best[n - 1])
+    starts = first.tolist()
+    best = [0.0]  # the scalar loop reads the list, the block rows the array
+    best_arr = np.empty(n, dtype=np.float64)
+    best_arr[0] = 0.0
+    for s in range(1, n, _DP_BLOCK):
+        e = min(s + _DP_BLOCK, n)
+        rows = values[s:e, None]
+        lo = starts[s]
+        cand = best_arr[lo:s] + gauge(np.abs(rows - values[lo:s]))
+        if starts[e - 1] > lo:
+            cand[np.arange(lo, s) < first[s:e, None]] = -math.inf
+        pre_max = cand.max(axis=1).tolist()
+        inner = gauge(np.abs(rows - values[s:e])).tolist()
+        for i in range(s, e):
+            g = inner[i - s]
+            m = pre_max[i - s]
+            for j in range(max(starts[i], s), i):
+                v = best[j] + g[j - s]
+                if v > m:
+                    m = v
+            best.append(m)
+        best_arr[s:e] = best[s:e]
+    return best[n - 1]
 
 
 def turning_points(values: np.ndarray) -> np.ndarray:
@@ -504,7 +541,7 @@ def qvar_profile(path: PricePath, deltas) -> list[QvarPoint]:
     decreases and bounded by the unconstrained psi-variation.
     """
     deltas = [float(d) for d in deltas]
-    if any(d <= 0.0 for d in deltas):
+    if not all(d > 0.0 for d in deltas):  # NaN too; inf means unconstrained
         raise BadStep("all mesh bounds must be > 0")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise BadStep("mesh bounds must be strictly decreasing")

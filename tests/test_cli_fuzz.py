@@ -103,7 +103,7 @@ def configs(draw):
 @st.composite
 def command_lines(draw):
     """(argv after the command's file arguments, prices, JSON payload)."""
-    command = draw(st.sampled_from(["prop3", "crossings", "generate", "variation", "run"]))
+    command = draw(st.sampled_from(["prop3", "crossings", "generate", "variation", "qvar", "run"]))
     if command == "prop3":
         args = ["--eps", draw(numbers(0.05, 4.0)), "--delta", draw(numbers(0.05, 4.0)),
                 "--N", draw(st.one_of(st.integers(-2, 256).map(str),
@@ -122,6 +122,9 @@ def command_lines(draw):
         ps = draw(st.lists(numbers(0.1, 4.0), max_size=4))
         args = ["--p", ",".join(ps)] + (["--psi"] if draw(st.booleans()) else [])
         return [command] + args, draw(PRICES), None
+    if command == "qvar":
+        deltas = draw(st.lists(numbers(1e-3, 2.0), max_size=4))
+        return [command, "--deltas", ",".join(deltas)], draw(PRICES), None
     if command == "generate":
         return [command], None, draw(specs())
     return [command], None, draw(configs())

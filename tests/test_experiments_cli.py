@@ -236,6 +236,8 @@ MALFORMED = {
     "crossings-step-0": (["crossings", "--step", "0"], None),
     "crossings-step-negative": (["crossings", "--step", "-1"], None),
     "crossings-step-tiny": (["crossings", "--step", "1e-12"], None),
+    # NaN passes a "d <= 0" test; searchsorted then puts first[i] at or past i
+    "qvar-deltas-nan": (["qvar", "--deltas", "nan"], None),
     "spec-n-samples-text": (["generate"], {"kind": "constant", "n_samples": "abc"}),
     "spec-values-not-numbers": (
         ["generate"],
@@ -309,7 +311,7 @@ class TestMalformedInput:
         monkeypatch.setattr(cli, "crossings", no_band_loop)
         argv, payload = MALFORMED[name]
         argv = list(argv)
-        if argv[0] in ("prop3", "crossings"):
+        if argv[0] in ("prop3", "crossings", "qvar"):
             path_file = sample_csv
             if payload is not None:
                 path_file = tmp_path / "prices.csv"

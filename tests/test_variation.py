@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughmarket import (
+    GeneratorSpec,
+    PricePath,
     VariationFunctional,
     brute_force_var_phi,
+    generate,
     phi_admissible,
     psi,
     qvar_profile,
@@ -16,9 +21,11 @@ from roughmarket import (
 )
 from roughmarket import variation
 from roughmarket.errors import BadStep, TooLarge
-from roughmarket.variation import MAX_DP_SAMPLES, var_dp
+from roughmarket.variation import _DP_BLOCK, MAX_DP_SAMPLES, var_dp
 
 from conftest import random_positive_path, step_path
+from dp_oracle import var_dp as oracle_dp
+from test_acceptance import _positive_walk
 
 P_GRID = (0.5, 1.0, 2.0, 2.5, 3.0)
 GAUGES = tuple([VariationFunctional.power(p) for p in P_GRID] + [VariationFunctional.taylor_psi()])
@@ -187,6 +194,79 @@ class TestTurningPointReduction:
             )
 
 
+def oracle_qvar(path, deltas):
+    """``qvar_profile`` values with the row-at-a-time DP of ``dp_oracle``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(variation, "var_dp", oracle_dp)
+        return [pt.value for pt in qvar_profile(path, deltas)]
+
+
+def assert_qvar_identical(path, deltas):
+    assert [pt.value for pt in qvar_profile(path, deltas)] == oracle_qvar(path, deltas)
+
+
+VARIATION_LONG_MESHES = (2.0**-4, 2.0**-6, 2.0**-8)
+BLOCK_EDGE_SIZES = sorted({2, 3} | {k * _DP_BLOCK + 1 + d for k in (1, 2) for d in (-1, 0, 1)})
+
+
+@st.composite
+def blocked_dp_cases(draw):
+    """(path, strictly decreasing mesh bounds): sample counts on both sides
+    of each block edge, irregular times so that first[] jumps inside a block,
+    plateaus and constant paths, and meshes from inf to below the finest gap."""
+    n = draw(st.one_of(st.sampled_from(BLOCK_EDGE_SIZES), st.integers(2, 4 * _DP_BLOCK)))
+    shape = draw(st.sampled_from(["walk", "levels", "constant"]))
+    if shape == "walk":
+        steps = draw(st.lists(st.floats(-0.5, 0.5, allow_nan=False), min_size=n - 1, max_size=n - 1))
+        values = np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    elif shape == "levels":
+        values = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float) / 8.0
+    else:
+        values = np.full(n, draw(st.floats(0.0, 10.0, allow_nan=False)))
+    gaps = draw(st.lists(st.sampled_from([1.0, 1.0, 0.1, 0.37, 6.0]), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    path = PricePath(times / times[-1], values)
+    min_gap = float(np.diff(path.times).min())
+    fractions = draw(st.lists(st.floats(1e-3, 1.0, allow_nan=False), max_size=4))
+    deltas = {math.inf, 0.5 * min_gap} | set(fractions)
+    return path, sorted(deltas, reverse=True)
+
+
+class TestBlockedDP:
+    """``var_dp`` runs right ends in blocks; it must give what the
+    row-at-a-time DP of ``dp_oracle`` gives, bit for bit."""
+
+    def test_criterion_6_paths(self):
+        deltas = sorted({1.0, 0.4, 0.15, 0.05, 0.01, *VARIATION_LONG_MESHES}, reverse=True)
+        for seed in range(100):
+            assert_qvar_identical(_positive_walk(seed, n_max=60), deltas)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(kind="exp-fractional", hurst=0.4, sigma=0.5),
+            dict(kind="exp-fractional", hurst=0.6, sigma=0.5),
+            dict(kind="jump", jump_rate=300.0, jump_sigma=0.05),
+        ],
+    )
+    def test_variation_long_paths(self, spec):
+        path = generate(GeneratorSpec(n_samples=4097, seed=5, **spec))
+        assert_qvar_identical(path, VARIATION_LONG_MESHES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocked_dp_cases())
+    def test_block_edges_and_meshes(self, case):
+        path, deltas = case
+        assert_qvar_identical(path, deltas)
+        for gauge in (psi, SQRT_TABLE.on_increments):
+            assert var_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+
+    def test_sqrt_table_unconstrained(self):
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5))
+        gauge = SQRT_TABLE.on_increments
+        assert var_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+
+
 class TestBruteForce:
     def test_examples(self):
         assert brute_force_var_phi(step_path([1, 2, 4]), VariationFunctional.power(1)) == 3.0
@@ -305,6 +385,11 @@ class TestQvar:
             qvar_profile(path, [-1.0])
         with pytest.raises(BadStep):
             qvar_profile(path, [0.5, 0.5])
+        for bad in (math.nan, -math.inf, 0.0):
+            with pytest.raises(BadStep):
+                qvar_profile(path, [1.0, bad])
+        # inf is a valid bound: no mesh constraint
+        assert qvar_profile(path, [math.inf])[0].value == psi(1.0)
 
 
 class TestGrowthProfile:
