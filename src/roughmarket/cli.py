@@ -9,7 +9,7 @@ run : execute a config-driven experiment suite
 emit-plot : extract a two-column series from a report
 
 Only the log verbosity is read from the environment (ROUGHMARKET_LOG).
-Exit codes: 0 pass, 1 a check or case failed, 2 bad input.
+Exit codes: 0 pass, 1 a check or case failed, 2 bad input or an unusable file.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _cmd_doob(args) -> int:
     strat = doob_strategy(args.a, args.b)
     trace = run_simple(strat, path)
     ups = crossings(path, args.a, args.b).up
-    bound = (args.b - args.a) * ups
+    bound = (args.b - args.a) * ups if ups else 0.0  # inf * 0 is NaN when b = inf
     ok = trace.min_capital >= 0.0 and trace.final_capital >= bound
     _json_out(
         {
@@ -222,16 +222,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_emit_plot(args) -> int:
-    payload = json.loads(Path(args.report).read_text())
-    report = RunReport(
-        config=payload["config"],
-        cases=payload["cases"],
-        summary=payload["summary"],
-        series=payload["series"],
-        version=payload["version"],
-        wall_time_s=0.0,
-    )
-    _emit(emit_plot_data(report, args.series), args.out)
+    try:
+        payload = json.loads(Path(args.report).read_text())
+        fields = {k: payload[k] for k in ("config", "cases", "summary", "series", "version")}
+        csv = emit_plot_data(RunReport(**fields, wall_time_s=0.0), args.series)
+    except RoughMarketError:  # UnknownSeries is a KeyError too
+        raise
+    except (ValueError, KeyError, TypeError) as e:
+        raise ParseError(f"{args.report} is not a run report: {e!r}") from e
+    _emit(csv, args.out)
     return 0
 
 
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except RoughMarketError as e:
+    except (RoughMarketError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -489,9 +489,10 @@ def unboundedness_mixture(m_max: int, omega0_hint: float) -> StrategyMixture:
     Component m invests everything at time 0 (one unit of cash, position
     1/start, or position 1 when the start price is 0) and liquidates on
     hitting [2^m, inf).  Weights 2^-m; initial capital 1 - 2^-m_max.
+    ``m_max`` is at most 1023, since 2^1024 overflows float64.
     """
-    if m_max < 1:
-        raise BadWeights("m_max must be >= 1")
+    if not 1 <= m_max <= 1023:
+        raise BadWeights(f"m_max must be in [1, 1023], got {m_max}")
     h1 = 1.0 if omega0_hint == 0.0 else 1.0 / omega0_hint
     comps = []
     for m in range(1, m_max + 1):

@@ -436,6 +436,7 @@ def audit_strategy(name: str, path: PricePath, a: float = 0.25, b: float = 0.75)
     ``doob`` trades the band (a, b) and ``clairvoyant`` reinvests on every
     up move of the path; neither borrows.  ``short`` sells one unit at time
     0 and ``leveraged`` buys two units of capital's worth; both borrow.
+    Raises :class:`ZeroPrice` for ``leveraged`` on a path that starts at 0.
     """
     if name == "doob":
         return doob_strategy(a, b)
@@ -444,6 +445,8 @@ def audit_strategy(name: str, path: PricePath, a: float = 0.25, b: float = 0.75)
     if name == "short":
         return SimpleStrategy(1.0, ((AtIndex(0), -1.0),), descriptor="short")
     if name == "leveraged":
+        if path.values[0] == 0.0:
+            raise ZeroPrice("leveraged buys 2 / start units; the path starts at 0")
         h = 2.0 / path.values[0]
         return SimpleStrategy(
             1.0, ((AtIndex(0), h),), descriptor="leveraged", position_bound=max(h, 1.0)

@@ -404,8 +404,6 @@ class CrossingCount:
 
     up: int
     down: int
-    interval: tuple[float, float] | None = None
-    step: float | None = None
 
 
 def crossings(path: PricePath, a: float, b: float) -> CrossingCount:
@@ -416,22 +414,39 @@ def crossings(path: PricePath, a: float, b: float) -> CrossingCount:
     """
     if not (0.0 <= a < b):
         raise BadInterval(f"need 0 <= a < b, got ({a}, {b})")
-    low = (path.values <= a).tolist()
-    high = (path.values >= b).tolist()
-    return CrossingCount(up=_moves(low, high), down=_moves(high, low), interval=(a, b))
+    up, down = _band_moves(path.values, np.array([a], dtype=float), np.array([b], dtype=float))
+    return CrossingCount(up=int(up[0]), down=int(down[0]))
 
 
-def _moves(start: list[bool], end: list[bool]) -> int:
-    """Completed moves from a ``start`` sample to a later ``end`` sample."""
-    count = 0
-    armed = False
-    for s, e in zip(start, end):
-        if not armed:
-            armed = s
-        elif e:
-            count += 1
-            armed = False
-    return count
+def _band_moves(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Completed up and down moves across each band (a[k], b[k]), as in :func:`crossings`.
+
+    ``a`` and ``b`` are nondecreasing with a[k] < b[k].  As the edges are
+    sorted, the bands on their low side after a sample x (a[k] >= x) are a
+    suffix [low, K), those on their high side (b[k] <= x) a prefix [0, high),
+    and every other band keeps the side it was last on.  So a sample touches
+    only the bands that the suffix or the prefix gains since the previous
+    sample: O(n + band entries) time, O(K) memory.  The kernel keeps explicit
+    per-band state (0 no side yet, 1 low, 2 high) and does not use the grid
+    kernel's floor/ceil and run-head invariant, so the two certify each other.
+    """
+    lows = np.searchsorted(a, values, side="left").tolist()
+    highs = np.searchsorted(b, values, side="right").tolist()
+    side = np.zeros(a.shape[0], dtype=np.int8)
+    up = np.zeros(a.shape[0], dtype=np.int64)
+    down = np.zeros(a.shape[0], dtype=np.int64)
+    low_was, high_was = a.shape[0], 0
+    for low, high in zip(lows, highs):
+        if low < low_was:
+            joined = side[low:low_was]
+            down[low:low_was] += joined == 2
+            joined[:] = 1
+        if high > high_was:
+            joined = side[high_was:high]
+            up[high_was:high] += joined == 1
+            joined[:] = 2
+        low_was, high_was = low, high
+    return up, down
 
 
 MAX_BANDS = 1 << 20  # band grids in use stay near 2^10
@@ -454,35 +469,18 @@ def band_count(sup: float, h: float) -> int:
 def band_crossings(path: PricePath, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-band up and down move counts over the grid (k*h, (k+1)*h), k*h <= sup.
 
-    Band k counts what ``crossings(path, k*h, (k+1)*h)`` counts.  Runs one
-    dense state machine per band, vectorized across bands, in one pass over
-    the samples; kept deliberately independent of the closed-form grid
-    trading kernel so the two can certify each other.
+    Band k counts exactly what ``crossings(path, k*h, (k+1)*h)`` counts:
+    both run :func:`_band_moves`, here on all bands at once.
     """
     values = path.values
     n_bands = band_count(float(values.max()), h)
-    a = h * np.arange(n_bands)
-    b = h * np.arange(1, n_bands + 1)
-    up = np.zeros(n_bands, dtype=np.int64)
-    down = np.zeros(n_bands, dtype=np.int64)
-    up_armed = np.zeros(n_bands, dtype=bool)
-    down_armed = np.zeros(n_bands, dtype=bool)
-    for x in values:
-        low = x <= a
-        high = x >= b
-        fired = up_armed & high
-        up += fired
-        up_armed = (up_armed & ~fired) | low
-        fired = down_armed & low
-        down += fired
-        down_armed = (down_armed & ~fired) | high
-    return up, down
+    return _band_moves(values, h * np.arange(n_bands), h * np.arange(1, n_bands + 1))
 
 
 def grid_crossings(path: PricePath, h: float) -> CrossingCount:
     """Aggregate band crossings over the grid (k*h, (k+1)*h), k*h <= sup."""
     up, down = band_crossings(path, h)
-    return CrossingCount(up=int(up.sum()), down=int(down.sum()), step=h)
+    return CrossingCount(up=int(up.sum()), down=int(down.sum()))
 
 
 ADMISSIBLE_J_MAX = 64  # finest dyadic scale of the series probe

@@ -1,6 +1,8 @@
 """Fuzzed command lines: every drawn argument vector, path file, generator
-spec and suite config ends with exit code 0, 1 or 2 within a few seconds, and
-nothing escapes ``main`` but argparse's own ``SystemExit(2)``.
+spec, suite config and report file ends with exit code 0, 1 or 2 within a
+few seconds, and nothing escapes ``main`` but argparse's own
+``SystemExit(2)``.  Now and then the input file is missing or ``--out``
+cannot be written.
 
 Sizes are drawn small (paths of at most 30 samples, N and n_samples in the
 hundreds) or far past a size guard, so an example that runs is quick and one
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from roughmarket.cli import main
 from roughmarket.experiments import EXPERIMENT_KINDS
 from roughmarket.paths import GENERATOR_KINDS, MAX_SAMPLES
+from roughmarket.strategies import AUDIT_STRATEGIES
 
 SPECIAL_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e400", "abc", "")
 
@@ -100,10 +103,40 @@ def configs(draw):
     return config
 
 
+SERIES = ("x", "upper_prob")
+FLOAT_PAIRS = st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), max_size=4)
+REPORT_FIELDS = {
+    "config": st.one_of(st.just({}), st.integers()),
+    "cases": st.one_of(st.just([]), st.integers()),
+    "summary": st.just({"n_failed": 0}),
+    "series": st.one_of(
+        st.dictionaries(st.sampled_from(SERIES), st.one_of(FLOAT_PAIRS, st.lists(st.integers()),
+                                                           st.integers())),
+        st.lists(st.sampled_from(SERIES)),
+        st.integers(),
+    ),
+    "version": st.just("0"),
+}
+
+
+@st.composite
+def report_objects(draw):
+    """A run report with fields missing or mistyped."""
+    names = draw(st.lists(st.sampled_from(sorted(REPORT_FIELDS)), unique=True))
+    return {name: draw(REPORT_FIELDS[name]) for name in names}
+
+
+# a report file: report-like JSON, other JSON, or bytes that may not be text
+REPORTS = st.one_of(report_objects(), st.lists(st.integers(), max_size=2), st.binary(max_size=20))
+
+
 @st.composite
 def command_lines(draw):
-    """(argv after the command's file arguments, prices, JSON payload)."""
-    command = draw(st.sampled_from(["prop3", "crossings", "generate", "variation", "qvar", "run"]))
+    """(argv after the command's file arguments, prices, input file payload:
+    bytes as they are, anything else as JSON)."""
+    command = draw(st.sampled_from(["prop3", "crossings", "generate", "variation", "qvar", "run",
+                                    "doob", "upper-prob", "borrow-check", "unbounded",
+                                    "emit-plot"]))
     if command == "prop3":
         args = ["--eps", draw(numbers(0.05, 4.0)), "--delta", draw(numbers(0.05, 4.0)),
                 "--N", draw(st.one_of(st.integers(-2, 256).map(str),
@@ -125,6 +158,19 @@ def command_lines(draw):
     if command == "qvar":
         deltas = draw(st.lists(numbers(1e-3, 2.0), max_size=4))
         return [command, "--deltas", ",".join(deltas)], draw(PRICES), None
+    if command in ("doob", "borrow-check"):
+        args = [flag for name in draw(st.lists(st.sampled_from(["--a", "--b"]), unique=True))
+                for flag in (name, draw(numbers(-1.0, 10.0)))]
+        if command == "borrow-check" and draw(st.booleans()):
+            args += ["--strategy", draw(st.sampled_from(AUDIT_STRATEGIES + ("bogus",)))]
+        return [command] + args, draw(PRICES), None
+    if command == "upper-prob":
+        return [command], draw(PRICES), None
+    if command == "unbounded":
+        m_max = draw(st.one_of(st.integers(-2, 2000).map(str), st.sampled_from(["1.5", "x"])))
+        return [command, "--m-max", m_max], draw(PRICES), None
+    if command == "emit-plot":
+        return [command, "--series", draw(st.sampled_from(SERIES))], None, draw(REPORTS)
     if command == "generate":
         return [command], None, draw(specs())
     return [command], None, draw(configs())
@@ -135,23 +181,27 @@ def command_lines(draw):
     deadline=timedelta(seconds=5),
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(command_lines())
-def test_cli_exit_codes(tmp_path, command_line):
+@given(command_lines(), st.sampled_from(["input", "out"] + [None] * 8))
+def test_cli_exit_codes(tmp_path, command_line, missing):
     argv, prices, payload = command_line
     argv = list(argv)
     work = Path(tempfile.mkdtemp(dir=tmp_path))  # one per example
-    out = work / "out"
+    absent = work / "no-such-dir" / "file"
+    out = absent if missing == "out" else work / "out"
     if prices is not None:
         n = len(prices)
         rows = [f"{k / max(n - 1, 1)!r},{x!r}" for k, x in enumerate(prices)]
-        path_file = work / "path.csv"
-        path_file.write_text("t,x\n" + "\n".join(rows) + "\n")
-        argv += ["--path", str(path_file), "--out", str(out)]
+        input_file = work / "path.csv"
+        input_file.write_text("t,x\n" + "\n".join(rows) + "\n")
+        flag = "--path"
     else:
-        payload_file = work / "input.json"
-        payload_file.write_text(json.dumps(payload))
-        flag = "--spec" if argv[0] == "generate" else "--config"
-        argv += [flag, str(payload_file), "--out", str(out)]
+        input_file = work / "input.json"
+        if isinstance(payload, bytes):
+            input_file.write_bytes(payload)
+        else:
+            input_file.write_text(json.dumps(payload))
+        flag = {"generate": "--spec", "emit-plot": "--report"}.get(argv[0], "--config")
+    argv += [flag, str(absent if missing == "input" else input_file), "--out", str(out)]
 
     def too_slow(signum, frame):
         raise AssertionError(f"{argv} still running after 20 s")

@@ -1,13 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roughmarket import crossings, grid_crossings
+from roughmarket import GeneratorSpec, crossings, generate, grid_crossings
 from roughmarket.errors import BadInterval, BadStep
 from roughmarket.variation import band_crossings
 
 from conftest import random_positive_path, step_path
+from crossing_oracle import crossings as oracle_crossings
 
 
 class TestCrossings:
@@ -65,7 +69,7 @@ class TestGridCrossings:
             up = down = 0
             k = 0
             while k * h <= path.sup:
-                c = crossings(path, k * h, (k + 1) * h)
+                c = oracle_crossings(path, k * h, (k + 1) * h)
                 assert (band_up[k], band_down[k]) == (c.up, c.down)
                 up += c.up
                 down += c.down
@@ -97,3 +101,57 @@ class TestGridCrossings:
                 if hi > lo and (math.ceil(lo / h) + 1) * h <= hi:
                     straddled += 1
             assert grid_crossings(path, h).up >= straddled
+
+
+TICKS = (0.1, 0.125, 0.25, 0.3, 1.0)  # dyadic and not; prices on ticks sit on band edges
+
+
+@st.composite
+def ticked_prices(draw):
+    """Prices on a tick, with plateaus, zeros and 2-sample and constant paths."""
+    tick = draw(st.sampled_from(TICKS))
+    levels = st.one_of(st.integers(0, 24).map(lambda k: k * tick), st.floats(0.0, 7.0))
+    runs = draw(st.lists(st.tuples(levels, st.integers(1, 3)), min_size=1, max_size=25))
+    values = [x for x, repeat in runs for _ in range(repeat)]
+    if len(values) < 2:
+        values *= 2
+    return step_path(values)
+
+
+class TestKernelMatchesOracle:
+    """``crossings`` and ``band_crossings`` share one kernel; the per-band
+    scan in ``crossing_oracle`` is the reference for both."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ticked_prices(), st.one_of(st.sampled_from(TICKS), st.floats(0.05, 2.0)))
+    def test_band_crossings(self, path, h):
+        up, down = band_crossings(path, h)
+        expected = [oracle_crossings(path, k * h, (k + 1) * h) for k in range(len(up))]
+        assert len(up) == math.floor(path.sup / h) + 1
+        assert up.tolist() == [c.up for c in expected]
+        assert down.tolist() == [c.down for c in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ticked_prices(),
+        st.one_of(st.just(0.0), st.sampled_from(TICKS), st.floats(0.0, 7.0)),
+        st.one_of(st.sampled_from(TICKS), st.floats(1e-6, 4.0), st.just(math.inf)),
+    )
+    def test_crossings(self, path, a, width):
+        assert crossings(path, a, a + width) == oracle_crossings(path, a, a + width)
+
+    def test_many_bands_in_one_pass(self):
+        # 2^20 - 15 bands on a 4097-sample path; a dense pass over every band
+        # at every sample took about 20 s
+        h = 2.0**-20
+        noise = generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, sigma=0.5, seed=5))
+        values = np.round(noise.values / noise.sup * (2**20 - 16)) * h
+        path = step_path(values)
+        t0 = time.perf_counter()
+        up, down = band_crossings(path, h)
+        elapsed = time.perf_counter() - t0
+        assert len(up) == 2**20 - 15
+        for k in np.random.default_rng(37).integers(0, len(up), size=8).tolist():
+            c = oracle_crossings(path, k * h, (k + 1) * h)
+            assert (up[k], down[k]) == (c.up, c.down)
+        assert elapsed < 5.0

@@ -166,6 +166,12 @@ class TestCli:
         assert payload["pass"] is True
         assert payload["ST"] >= payload["bound_rhs"]
 
+    def test_doob_band_without_top(self, sample_csv, capsys):
+        # no upcrossing can complete, so the bound is 0, not inf * 0
+        assert main(["doob", "--path", str(sample_csv), "--a", "0", "--b", "inf"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["upcrossings"], payload["bound_rhs"], payload["pass"]) == (0, 0.0, True)
+
     def test_prop3_json(self, sample_csv, capsys):
         rc = main(
             ["prop3", "--path", str(sample_csv), "--eps", "1", "--delta", "1", "--N", "32"]
@@ -217,6 +223,11 @@ class TestCli:
         cfg.write_text(json.dumps({"kind": "upper-prob-table", "seeds": []}))
         assert main(["run", "--config", str(cfg)]) == 2
 
+
+MISSING = "<missing>"  # a file under a directory that does not exist
+PATH_COMMANDS = (
+    "prop3", "crossings", "qvar", "unbounded", "upper-prob", "variation", "borrow-check"
+)
 
 MALFORMED = {
     "prop3-N-0": (["prop3", "--eps", "1", "--delta", "1", "--N", "0"], None),
@@ -295,6 +306,26 @@ MALFORMED = {
         ["run"],
         {"kind": "growth-profile", "seeds": [1], "generator": {"kind": "constant", "x": 1}},
     ),
+    # 2^1024 overflows float64
+    "unbounded-m-max-1024": (["unbounded", "--m-max", "1024"], None),
+    "unbounded-m-max-0": (["unbounded", "--m-max", "0"], None),
+    # an emit-plot payload is the report file: text as is, anything else as JSON
+    "emit-plot-not-json": (["emit-plot"], "{not json"),
+    "emit-plot-missing-keys": (["emit-plot"], {"config": {}, "cases": []}),
+    "emit-plot-not-an-object": (["emit-plot"], [1, 2]),
+    "emit-plot-series-not-pairs": (
+        ["emit-plot"],
+        {"config": {}, "cases": [], "summary": {}, "series": {"x": 5}, "version": "0"},
+    ),
+    # 2 / start units is inf; the NaN capital it made passed the audit
+    "borrow-check-leveraged-zero-start": (["borrow-check", "--strategy", "leveraged"], [0, 2, 0.5]),
+    # a bytes payload for a path command is the path file itself
+    "path-not-utf8": (["variation"], b"t,x\n\xff\xfe,1\n"),
+    "path-missing": (["variation", "--path", MISSING], None),
+    "spec-missing": (["generate", "--spec", MISSING, "--out", MISSING], None),
+    "config-missing": (["run", "--config", MISSING], None),
+    "report-missing": (["emit-plot", "--report", MISSING, "--series", "x"], None),
+    "out-unwritable": (["upper-prob", "--out", MISSING], None),
 }
 
 
@@ -310,19 +341,24 @@ class TestMalformedInput:
 
         monkeypatch.setattr(cli, "crossings", no_band_loop)
         argv, payload = MALFORMED[name]
-        argv = list(argv)
-        if argv[0] in ("prop3", "crossings", "qvar"):
+        argv = [str(tmp_path / "no-such-dir" / "file") if x == MISSING else x for x in argv]
+        if argv[0] in PATH_COMMANDS and "--path" not in argv:
             path_file = sample_csv
-            if payload is not None:
+            if isinstance(payload, bytes):
+                path_file = tmp_path / "prices.csv"
+                path_file.write_bytes(payload)
+            elif payload is not None:
                 path_file = tmp_path / "prices.csv"
                 spec = GeneratorSpec(kind="custom-steps", n_samples=len(payload), values=payload)
                 write_path(generate(spec), path_file)
             argv += ["--path", str(path_file)]
         elif payload is not None:
             f = tmp_path / "input.json"
-            f.write_text(json.dumps(payload))
+            f.write_text(payload if isinstance(payload, str) else json.dumps(payload))
             if argv[0] == "generate":
                 argv += ["--spec", str(f), "--out", str(tmp_path / "p.csv")]
+            elif argv[0] == "emit-plot":
+                argv += ["--report", str(f), "--series", "x"]
             else:
                 argv += ["--config", str(f)]
 
