@@ -33,6 +33,10 @@ class BadStep(RoughMarketError, ValueError):
     """Grid step must be strictly positive."""
 
 
+class BadPosition(RoughMarketError, ValueError):
+    """A strategy position or its gain over one move is not finite, or exceeds its bound."""
+
+
 class NonAdapted(RoughMarketError):
     """A strategy's decisions depend on the path beyond the decision time."""
 

@@ -46,6 +46,7 @@ from .strategies import (
     doob_strategy,
     first_violation,
     run_simple,
+    self_financing,
 )
 from .variation import VariationFunctional, check_dp_samples, phi_admissible, var_p
 
@@ -120,9 +121,11 @@ class GridLevel:
 #   every sample since t = 0 stayed inside).
 #
 # So the held count is a clip plus a flag carried forward over runs of
-# samples inside one band, and the capital is self-financing: the initial
-# cash sum k*h plus the cumulative sum of held_{t-1} * (x_t - x_{t-1}).
-# Cost is O(n) per scale, independent of k_cap.
+# samples inside one band.  The grid is then one simple strategy holding
+# that count, and its capital comes from the engine's accumulator
+# `strategies.self_financing`: the initial cash sum k*h plus the
+# cumulative sum of held_{t-1} * (x_t - x_{t-1}).  Cost is O(n) per scale,
+# independent of k_cap.
 
 
 def doob_grid_trace(values: np.ndarray, j_exp: int, k_cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,10 +152,7 @@ def doob_grid_trace(values: np.ndarray, j_exp: int, k_cap: int) -> tuple[np.ndar
     run_head = np.maximum.accumulate(np.where(start, np.arange(n), 0))
     straddled = inside & (lo >= 0.0) & (lo < k_cap) & entered_low[run_head]
     held = np.clip(k_cap - hi, 0, k_cap).astype(np.int64) + straddled
-    pnl = np.zeros(n)
-    pnl[1:] = held[:-1] * np.diff(values)
-    agg = np.cumsum(pnl) + math.ldexp(k_cap * (k_cap - 1) / 2.0, -j_exp)
-    return agg, held
+    return self_financing(math.ldexp(k_cap * (k_cap - 1) / 2.0, -j_exp), held, values), held
 
 
 @dataclass(frozen=True)
@@ -500,7 +500,6 @@ def unboundedness_mixture(m_max: int, omega0_hint: float) -> StrategyMixture:
             initial_capital=1.0,
             rules=((AtIndex(0), h1), (HitAbove(2.0**m), 0.0)),
             descriptor=f"unbounded(m={m})",
-            position_bound=max(1.0, abs(h1)),
         )
         comps.append((2.0**-m, strat))
     return StrategyMixture(

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BadInterval,
+    BadPosition,
     FormMismatch,
     NonAdapted,
     RoughMarketError,
@@ -35,6 +36,7 @@ __all__ = [
     "SimpleStrategy",
     "CapitalTrace",
     "run_simple",
+    "self_financing",
     "doob_strategy",
     "clairvoyant_strategy",
     "upper_prob_singleton",
@@ -62,10 +64,7 @@ class HitBelow(StoppingRule):
     level: float
 
     def first_hit(self, times, values, start):
-        for i in range(start, values.shape[0]):
-            if values[i] <= self.level:
-                return i
-        return None
+        return next((i for i in range(start, values.shape[0]) if values[i] <= self.level), None)
 
     def describe(self):
         return f"hit<= {self.level:g}"
@@ -78,10 +77,7 @@ class HitAbove(StoppingRule):
     level: float
 
     def first_hit(self, times, values, start):
-        for i in range(start, values.shape[0]):
-            if values[i] >= self.level:
-                return i
-        return None
+        return next((i for i in range(start, values.shape[0]) if values[i] >= self.level), None)
 
     def describe(self):
         return f"hit>= {self.level:g}"
@@ -103,16 +99,15 @@ class AtIndex(StoppingRule):
 
 
 class AlternatingHits:
-    """Endless rule stream: hit [0,a] take ``h_on``, hit [b,inf) take 0."""
+    """Endless rule stream: hit [0,a] take 1 unit, hit [b,inf) take 0."""
 
-    def __init__(self, a: float, b: float, h_on: float = 1.0):
+    def __init__(self, a: float, b: float):
         self.a = a
         self.b = b
-        self.h_on = h_on
 
     def __iter__(self) -> Iterator[tuple[StoppingRule, float]]:
         while True:
-            yield HitBelow(self.a), self.h_on
+            yield HitBelow(self.a), 1.0
             yield HitAbove(self.b), 0.0
 
 
@@ -122,8 +117,9 @@ class SimpleStrategy:
 
     ``rules`` is any reusable iterable; it may be endless as long as only
     finitely many rules fire on any step path.  ``capital_cap`` freezes the
-    strategy (position 0, rules ignored) from the first sample where its
-    capital reaches the cap.
+    strategy from the first sample where its capital reaches the cap: the
+    capital stays constant, an open position is closed by a ``cap-liquidate``
+    firing, and firings from that sample on are dropped.
     """
 
     initial_capital: float
@@ -148,9 +144,10 @@ class Firing:
 class CapitalTrace:
     """Per-sample capital, position carried out of the sample, and cash.
 
-    ``capital[i]`` is the strategy's wealth at ``times[i]``; ``position[i]``
-    is the holding over ``(times[i], times[i+1]]``; ``cash[i]`` is
-    ``capital[i] - position[i] * values[i]``, constant until the next trade.
+    ``position[i]`` is the holding over ``(times[i], times[i+1]]``;
+    ``capital`` is :func:`self_financing` of the positions (constant from a
+    capital cap on); ``cash = capital - position * values``, constant until
+    the next trade.
     """
 
     times: np.ndarray
@@ -177,8 +174,10 @@ def run_simple(
     """Execute a strategy on a path and return its capital trace.
 
     Raises :class:`RuleOverflow` if more rules fire than the path has
-    samples.  With ``self_check`` a suffix perturbation is replayed and
-    :class:`NonAdapted` raised if the visible prefix of the trace changes.
+    samples, :class:`BadPosition` if a position is not finite, exceeds its
+    bound, or has gains that overflow to inf - inf.  With ``self_check`` a
+    suffix perturbation is replayed and :class:`NonAdapted` raised if the
+    visible prefix of the trace changes.
     """
     trace = _run(strategy, path)
     if self_check:
@@ -192,10 +191,8 @@ def _collect_firings(strategy: SimpleStrategy, path: PricePath) -> list[tuple[in
     fired: list[tuple[int, float, str]] = []
     start = 0
     for rule, h in strategy.rules:
-        if abs(h) > strategy.position_bound:
-            raise ValueError(
-                f"position {h} exceeds declared bound {strategy.position_bound}"
-            )
+        if not (math.isfinite(h) and abs(h) <= strategy.position_bound):
+            raise BadPosition(f"position {h} is not finite or above bound {strategy.position_bound}")
         i = rule.first_hit(times, values, start)
         if i is None:
             break
@@ -208,47 +205,44 @@ def _collect_firings(strategy: SimpleStrategy, path: PricePath) -> list[tuple[in
     return fired
 
 
+def self_financing(initial: float, position: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Capital of a self-financing strategy at every sample.
+
+    ``initial`` plus the cumulative gains ``position[t-1] * (values[t] -
+    values[t-1])``: the one accumulator of the simple-strategy engine and of
+    the dyadic grid kernel.
+    """
+    gains = np.zeros(values.shape[0])
+    gains[1:] = position[:-1] * np.diff(values)
+    return np.cumsum(gains) + initial
+
+
 def _run(strategy: SimpleStrategy, path: PricePath) -> CapitalTrace:
     times, values = path.times, path.values
-    n = values.shape[0]
     fired = _collect_firings(strategy, path)
-
-    capital = np.empty(n)
-    position = np.empty(n)
+    index = np.array([i for i, _, _ in fired], dtype=np.int64)
+    held = np.array([0.0] + [h for _, h, _ in fired])
+    # the position out of sample t is that of the last firing at or before t
+    position = held[np.searchsorted(index, np.arange(values.shape[0]), side="right")]
+    capital = self_financing(float(strategy.initial_capital), position, values)
+    executed = [Firing(i, float(times[i]), h, desc) for i, h, desc in fired]
     cap = strategy.capital_cap
-    k = float(strategy.initial_capital)
-    k_c = 0.0  # Kahan compensation for the telescoping sum
-    pos = 0.0
-    frozen = False
-    executed: list[Firing] = []
-    fi = 0
-    for t in range(n):
-        if t > 0:
-            inc = pos * (values[t] - values[t - 1])
-            y = inc - k_c
-            s = k + y
-            k_c = (s - k) - y
-            k = s
-        if cap is not None and not frozen and k >= cap:
-            frozen = True
-            if pos != 0.0:
-                executed.append(Firing(t, float(times[t]), 0.0, "cap-liquidate"))
-            pos = 0.0
-        while fi < len(fired) and fired[fi][0] == t:
-            idx, h, desc = fired[fi]
-            fi += 1
-            if frozen:
-                continue
-            pos = h
-            executed.append(Firing(idx, float(times[idx]), h, desc))
-        capital[t] = k
-        position[t] = pos
-    cash = capital - position * values
+    reached = np.flatnonzero(capital >= cap) if cap is not None else ()
+    if len(reached):
+        # frozen from the first sample at the cap: later firings are dropped
+        c = int(reached[0])
+        executed = [f for f in executed if f.index < c]
+        if c > 0 and position[c - 1] != 0.0:
+            executed.append(Firing(c, float(times[c]), 0.0, "cap-liquidate"))
+        capital[c:] = capital[c]
+        position[c:] = 0.0
+    if np.isnan(capital[-1]):  # gains of +inf and -inf
+        raise BadPosition(f"{strategy.describe()}: a position times a price move overflows float64")
     return CapitalTrace(
         times=times,
         capital=capital,
         position=position,
-        cash=cash,
+        cash=capital - position * values,
         firings=tuple(executed),
         initial_capital=float(strategy.initial_capital),
     )
@@ -291,27 +285,29 @@ def clairvoyant_strategy(path: PricePath) -> tuple[SimpleStrategy, float]:
     Returns the strategy (fixed positions at fixed indices, so trivially
     adapted) and the achieved growth factor, which equals
     exp(var_plus(log path)) exactly.  Factors accumulate in the log domain
-    and are exponentiated once.
+    and are exponentiated once; :class:`BadPosition` if that overflows.
     """
     values = path.values
     if np.any(values == 0.0):
         raise ZeroPrice("clairvoyant reinvestment requires strictly positive prices")
     log_k = 0.0
     rules: list[tuple[StoppingRule, float]] = []
-    for i in range(values.shape[0] - 1):
-        if values[i + 1] > values[i]:
-            h = math.exp(log_k) / values[i]
-            log_k += math.log(values[i + 1]) - math.log(values[i])
-        else:
-            h = 0.0
-        rules.append((AtIndex(i), h))
+    try:
+        for i in range(values.shape[0] - 1):
+            if values[i + 1] > values[i]:
+                h = math.exp(log_k) / values[i]
+                log_k += math.log(values[i + 1]) - math.log(values[i])
+            else:
+                h = 0.0
+            rules.append((AtIndex(i), h))
+        factor = math.exp(log_k)
+    except OverflowError as e:
+        raise BadPosition(f"clairvoyant growth factor exp({log_k:g}) overflows float64") from e
     rules.append((AtIndex(values.shape[0] - 1), 0.0))
-    factor = math.exp(log_k)
     strat = SimpleStrategy(
         initial_capital=1.0,
         rules=tuple(rules),
         descriptor="clairvoyant",
-        position_bound=max((abs(h) for _, h in rules), default=0.0) or 1.0,
     )
     return strat, factor
 
@@ -320,25 +316,21 @@ def upper_prob_singleton(path: PricePath) -> float:
     """Cheapest superhedge of the indicator of this exact path.
 
     Computes both closed forms, exp(-var_plus(log path)) and
-    sqrt(start/end * exp(-var(log path))), checks they agree to 1e-12
-    relative, and returns the second.
+    sqrt(start/end * exp(-var(log path))), in the log domain, checks they
+    agree to 1e-12 relative (per unit of var(log path) when that exceeds 1),
+    and returns the first, which is exactly 1 on a non-increasing path.
     """
     values = path.values
     if np.any(values == 0.0):
         raise ZeroPrice("upper probability of a singleton needs strictly positive prices")
-    d = np.diff(np.log(values))
-    plus = fsum(float(x) for x in d[d > 0.0])
-    minus = fsum(float(-x) for x in d[d < 0.0])
-    total = plus + minus
-    form_up = math.exp(-plus)
-    ratio = values[0] / values[-1]
-    form_sqrt = math.sqrt(ratio * math.exp(-total))
-    scale = max(form_up, form_sqrt, 1e-300)
-    if abs(form_up - form_sqrt) > 1e-12 * scale:
-        raise FormMismatch(
-            f"closed forms disagree: {form_up!r} vs {form_sqrt!r}"
-        )
-    return form_sqrt
+    logs = np.log(values)
+    d = np.diff(logs)
+    plus = fsum(d[d > 0.0])
+    minus = fsum(-d[d < 0.0])
+    log_sqrt = 0.5 * (float(logs[0] - logs[-1]) - plus - minus)
+    if abs(log_sqrt + plus) > 1e-12 * max(1.0, plus + minus):
+        raise FormMismatch(f"closed forms disagree: exp({-plus!r}) vs exp({log_sqrt!r})")
+    return math.exp(-plus)
 
 
 @dataclass(frozen=True)
@@ -409,13 +401,9 @@ def _with_continuation(
 ) -> BorrowReport:
     i = violation.index
     values = path.values.copy()
-    if violation.kind == "short":
-        pos = trace.position[i]
-        # spike the next sample high enough that capital drops below -1
-        spike = values[i] + (trace.capital[i] + 1.0) / (-pos) if pos < 0 else values[i]
-        values[i + 1 :] = spike
-    else:
-        # drop the next sample to zero: capital becomes the (negative) cash
+    if violation.kind == "short":  # spike the price until the capital is below -1
+        values[i + 1 :] = values[i] + (trace.capital[i] + 1.0) / -trace.position[i]
+    else:  # drop the price to zero: the capital becomes the (negative) cash
         values[i + 1 :] = 0.0
     continuation = PricePath(path.times, values)
     alt = run_simple(strategy, continuation)
@@ -448,7 +436,5 @@ def audit_strategy(name: str, path: PricePath, a: float = 0.25, b: float = 0.75)
         if path.values[0] == 0.0:
             raise ZeroPrice("leveraged buys 2 / start units; the path starts at 0")
         h = 2.0 / path.values[0]
-        return SimpleStrategy(
-            1.0, ((AtIndex(0), h),), descriptor="leveraged", position_bound=max(h, 1.0)
-        )
+        return SimpleStrategy(1.0, ((AtIndex(0), h),), descriptor="leveraged")
     raise RoughMarketError(f"unknown audit strategy {name!r}")

@@ -317,7 +317,7 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     """
     if phi.kind == "power" and phi.p <= 1.0:
         d = np.abs(np.diff(path.values))
-        return fsum(float(x) for x in d**phi.p)
+        return _fsum_nonneg(d**phi.p)
     if not phi.star_shaped:
         return var_dp(path.values, phi.on_increments)
     check_dp_samples(path.values.shape[0])
@@ -377,7 +377,7 @@ def brute_force_var_phi(path: PricePath, phi: VariationFunctional) -> float:
     interior = n - 2
     for mask in range(1 << interior):
         chain = [0] + [b + 1 for b in range(interior) if mask >> b & 1] + [n - 1]
-        total = fsum(
+        total = _fsum_nonneg(
             float(phi(abs(float(values[c]) - float(values[a]))))
             for a, c in zip(chain[:-1], chain[1:])
         )
@@ -390,12 +390,20 @@ def var_signed(path: PricePath) -> tuple[float, float, float]:
     """(var, var_plus, var_minus) of the sample sequence.
 
     Positive and negative parts are subadditive under merging, so the finest
-    partition attains all three suprema; sums use ``math.fsum``.
+    partition attains all three suprema; sums are exact, or inf past float64.
     """
     d = np.diff(path.values)
-    var_plus = fsum(float(x) for x in d[d > 0.0])
-    var_minus = fsum(float(-x) for x in d[d < 0.0])
+    var_plus = _fsum_nonneg(d[d > 0.0])
+    var_minus = _fsum_nonneg(-d[d < 0.0])
     return var_plus + var_minus, var_plus, var_minus
+
+
+def _fsum_nonneg(terms) -> float:
+    """``math.fsum`` of nonnegative terms, or ``inf`` when it overflows float64."""
+    try:
+        return fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Fuzzed command lines: every drawn argument vector, path file, generator
 spec, suite config and report file ends with exit code 0, 1 or 2 within a
-few seconds, and nothing escapes ``main`` but argparse's own
-``SystemExit(2)``.  Now and then the input file is missing or ``--out``
-cannot be written.
+few seconds, nothing escapes ``main`` but argparse's own ``SystemExit(2)``,
+and a command that exits 0 or 1 wrote no NaN to ``--out``.  Now and then the
+input file is missing or ``--out`` cannot be written.
 
 Sizes are drawn small (paths of at most 30 samples, N and n_samples in the
 hundreds) or far past a size guard, so an example that runs is quick and one
@@ -10,6 +10,7 @@ that would not be is rejected before it allocates.
 """
 
 import json
+import re
 import signal
 import tempfile
 from datetime import timedelta
@@ -35,10 +36,14 @@ def numbers(lo, hi):
     )
 
 
+# zero, subnormals and the edges of float64, where products and sums overflow
+EXTREME_PRICES = (0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e300, 1.7e308)
+
 PRICES = st.one_of(
     st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=2, max_size=30),
     st.lists(st.integers(0, 4).map(float), min_size=2, max_size=30),  # plateaus
     st.lists(st.floats(-1.0, 1e6, allow_nan=False), max_size=5),  # often rejected
+    st.lists(st.sampled_from(EXTREME_PRICES), min_size=2, max_size=6),
 )
 
 SIZES = st.one_of(
@@ -217,3 +222,6 @@ def test_cli_exit_codes(tmp_path, command_line, missing):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert rc in (0, 1, 2), argv
+    if rc != 2:  # a finished command wrote finite numbers
+        text = (out / "report.json" if argv[0] == "run" else out).read_text()
+        assert not re.search(r"\bnan\b", text, re.IGNORECASE), (argv, prices, text)

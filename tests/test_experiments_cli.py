@@ -319,6 +319,25 @@ MALFORMED = {
     ),
     # 2 / start units is inf; the NaN capital it made passed the audit
     "borrow-check-leveraged-zero-start": (["borrow-check", "--strategy", "leveraged"], [0, 2, 0.5]),
+    # 1 / 5e-324 is an inf position; times a zero move it made the capital NaN
+    "unbounded-subnormal-start": (["unbounded", "--m-max", "5"], [5e-324, 5e-324]),
+    # one unit of cash at 1e-300 is 1e300 units, and their gain on 1e300 overflows float64
+    "unbounded-gain-overflow": (["unbounded", "--m-max", "1023"], [1e-300, 1e300, 0]),
+    # the growth factor exp(744) overflows float64
+    "borrow-check-clairvoyant-factor-overflow": (
+        ["borrow-check", "--strategy", "clairvoyant"],
+        [5e-324, 1.0],
+    ),
+    # the reinvested position 1 / 5e-324 is inf
+    "borrow-check-clairvoyant-position-overflow": (
+        ["borrow-check", "--strategy", "clairvoyant"],
+        [5e-324, 1e-310, 5e-324],
+    ),
+    # 2 / start units is inf for a subnormal start too
+    "borrow-check-leveraged-subnormal-start": (
+        ["borrow-check", "--strategy", "leveraged"],
+        [5e-324, 0, 0],
+    ),
     # a bytes payload for a path command is the path file itself
     "path-not-utf8": (["variation"], b"t,x\n\xff\xfe,1\n"),
     "path-missing": (["variation", "--path", MISSING], None),

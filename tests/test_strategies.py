@@ -18,9 +18,11 @@ from roughmarket import (
     upper_prob_singleton,
 )
 from roughmarket.errors import BadInterval, RuleOverflow, ZeroPrice
+from roughmarket.mixtures import crossing_explosion_mixture, unboundedness_mixture
 from roughmarket.strategies import CapitalTrace, first_violation
 
 from conftest import random_positive_path, step_path
+from strategy_oracle import run_simple as oracle_run
 
 
 def telescoped_capital(trace, path):
@@ -119,6 +121,99 @@ class TestRunSimple:
                 assert np.array_equal(base.position[:cut], alt.position[:cut])
 
 
+def _dyadic(x) -> bool:
+    """Multiples of 2^-6 below 2^6: products and their sums here are exact in float64."""
+    x = np.asarray(x) * 64.0
+    return bool(np.all((x == np.round(x)) & (np.abs(x) < 4096.0)))
+
+
+@st.composite
+def engine_cases(draw):
+    """(strategy, path) over the built-in constructions, on dyadic or real prices."""
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, 256), min_size=2, max_size=40))
+        values = [v / 64.0 for v in values]
+        level = st.integers(0, 320).map(lambda k: k / 64.0)
+    else:
+        values = draw(st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=2, max_size=40))
+        level = st.floats(0.0, 5.0, allow_subnormal=False)
+    n = len(values)
+    kind = draw(st.sampled_from(["doob", "clairvoyant", "at-index", "unbounded", "capped"]))
+    if kind == "clairvoyant":
+        path = step_path([v + 0.5 for v in values])
+        return clairvoyant_strategy(path)[0], path
+    path = step_path(values)
+    if kind == "at-index":
+        # sorted indices with repeats: several firings at one sample
+        index = sorted(draw(st.lists(st.integers(0, n), max_size=min(n, 12))))
+        h = st.integers(-64, 64).map(lambda k: k / 16.0)
+        rules = tuple((AtIndex(i), draw(h)) for i in index)
+        return SimpleStrategy(draw(level), rules), path
+    if kind == "unbounded":
+        m = draw(st.integers(1, 4))
+        return unboundedness_mixture(m, values[0]).components[m - 1][1], path
+    a = draw(level)
+    b = a + draw(st.integers(1, 128).map(lambda k: k / 64.0))
+    if kind == "doob":
+        return doob_strategy(a, b), path
+    # cap 1/w: reached at t = 0 (a >= 1, w = 1), mid-path, or never (w = 2^-20)
+    w = draw(st.sampled_from([1.0, 0.5, 0.25, 0.125, 1.0 / 3.0, 2.0**-20]))
+    return crossing_explosion_mixture([(a, b)], [w]).components[0][1], path
+
+
+class TestEngineOracle:
+    """The position-array engine against the sample-by-sample Kahan loop."""
+
+    @staticmethod
+    def assert_same(strat, path):
+        got, want = run_simple(strat, path), oracle_run(strat, path)
+        assert np.array_equal(got.position, want.position)
+        assert got.firings == want.firings
+        assert got.initial_capital == want.initial_capital
+        if _dyadic(path.values) and _dyadic(got.position) and _dyadic(got.initial_capital):
+            assert np.array_equal(got.capital, want.capital)
+        else:
+            # roundoff scales with the largest capital: after a huge gain and
+            # its loss the oracle's Kahan sum can lose a unit that cumsum keeps
+            slack = 1e-12 * max(1.0, float(np.max(np.abs(want.capital))))
+            assert np.all(np.abs(got.capital - want.capital) <= slack)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(engine_cases())
+    def test_matches_oracle(self, case):
+        self.assert_same(*case)
+
+    @pytest.mark.parametrize(
+        "a, weight, frozen_at, fired",
+        [
+            (1.0, 1.0, 0, []),  # cap 1 = initial capital: frozen before any firing
+            (0.5, 0.5, 4, [(1, 1.0), (2, 0.0), (3, 1.0), (4, 0.0)]),  # cap 2 at 2.5
+            (0.5, 0.1, None, [(1, 1.0), (2, 0.0), (3, 1.0), (4, 0.0), (5, 1.0)]),  # cap 10
+        ],
+    )
+    def test_capital_cap(self, a, weight, frozen_at, fired):
+        path = step_path([1.0, 0.5, 1.5, 0.5, 1.5, 0.5])
+        strat = crossing_explosion_mixture([(a, a + 1.0)], [weight]).components[0][1]
+        trace = self.assert_same(strat, path)
+        assert [(f.index, f.position) for f in trace.firings] == fired
+        if frozen_at is not None:
+            assert np.all(trace.capital[frozen_at:] == trace.capital[frozen_at])
+            assert np.all(trace.position[frozen_at:] == 0.0)
+        if frozen_at == 4:
+            assert trace.firings[-1].rule == "cap-liquidate"
+
+    def test_overflowing_capital_is_inf(self):
+        # the Kahan step formed inf - inf once the capital overflowed
+        path = step_path([0.0, 1.7e308] * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run_simple(doob_strategy(0.5, 1.0), path)
+            assert np.isnan(oracle_run(doob_strategy(0.5, 1.0), path).final_capital)
+        assert list(trace.position) == [1.0, 0.0] * 3
+        assert trace.capital[1] == 1.7e308
+        assert trace.final_capital == math.inf and trace.min_capital == 0.5
+
+
 class TestDoob:
     def test_bad_interval(self):
         with pytest.raises(BadInterval):
@@ -197,6 +292,13 @@ class TestUpperProb:
     def test_zero_price(self):
         with pytest.raises(ZeroPrice):
             upper_prob_singleton(step_path([1.0, 0.0]))
+
+    def test_price_ratio_overflow(self):
+        # start / end overflows float64; in the log domain both forms are 1
+        assert upper_prob_singleton(step_path([1e300, 5e-324])) == 1.0
+        assert upper_prob_singleton(step_path([5e-324, 1e300])) == pytest.approx(
+            5e-324 / 1e300, rel=1e-12
+        )
 
     def test_range_and_characterization(self):
         rng = np.random.default_rng(31)

@@ -300,6 +300,13 @@ class TestVarSigned:
         assert plus - minus == pytest.approx(values[-1] - values[0], abs=1e-9)
         assert total == pytest.approx(var_p(path, 1.0), abs=1e-9)
 
+    def test_overflowing_sums_are_inf(self):
+        # the exact sums exceed float64, where math.fsum raises OverflowError
+        path = step_path([0.0, 1.7e308, 0.0, 1.7e308])
+        assert var_signed(path) == (math.inf, math.inf, 1.7e308)
+        assert var_p(path, 1.0) == math.inf
+        assert var_p(step_path([0.0, 1.7e308, 0.0]), 1.0) == math.inf
+
 
 class TestPsi:
     def test_fixed_points(self):
