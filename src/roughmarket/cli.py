@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from .errors import ParseError, RoughMarketError
 from .experiments import (
     ExperimentConfig,
     RunReport,
+    canonical_json,
     emit_plot_data,
     run_experiment,
     write_report,
@@ -111,7 +113,7 @@ def _cmd_qvar(args) -> int:
 
 
 def _json_out(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", out)
+    _emit(canonical_json(payload) + "\n", out)
 
 
 def _cmd_doob(args) -> int:
@@ -125,7 +127,7 @@ def _cmd_doob(args) -> int:
         {
             "strategy": strat.descriptor,
             "a": args.a,
-            "b": args.b,
+            "b": args.b if args.b < math.inf else None,  # JSON has no number for an open top
             "S0": strat.initial_capital,
             "ST": trace.final_capital,
             "min_capital": trace.min_capital,

@@ -77,6 +77,10 @@ class ConfigError(RoughMarketError, ValueError):
     """Invalid experiment configuration."""
 
 
+class NonFiniteResult(RoughMarketError, ValueError):
+    """A result to be written as JSON is NaN or infinite, which JSON cannot hold."""
+
+
 class CaseFailure(RoughMarketError):
     """One or more experiment cases failed."""
 

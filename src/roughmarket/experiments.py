@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import CaseFailure, ConfigError, UnknownSeries
+from .errors import CaseFailure, ConfigError, NonFiniteResult, UnknownSeries
 from .mixtures import run_mixture, verify_prop3_bound, volatility_mixture
 from .paths import GeneratorSpec, PricePath, generate
 from .strategies import (
@@ -46,6 +46,7 @@ __all__ = [
     "emit_plot_data",
     "write_report",
     "report_canonical_bytes",
+    "canonical_json",
 ]
 
 EXPERIMENT_KINDS = (
@@ -154,6 +155,14 @@ class RunReport:
         return int(self.summary["n_failed"])
 
 
+def canonical_json(payload) -> str:
+    """Sorted, indented, strict JSON; :class:`NonFiniteResult` for NaN or infinity."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as e:
+        raise NonFiniteResult(f"a result is not finite, so JSON cannot hold it ({e})") from e
+
+
 def report_canonical_bytes(report: RunReport) -> bytes:
     payload = {
         "config": report.config,
@@ -162,7 +171,7 @@ def report_canonical_bytes(report: RunReport) -> bytes:
         "series": report.series,
         "version": report.version,
     }
-    return json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
+    return canonical_json(payload).encode("utf-8")
 
 
 def write_report(report: RunReport, out_dir) -> Path:

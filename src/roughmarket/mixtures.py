@@ -5,13 +5,16 @@ Two representations:
 * :class:`StrategyMixture` holds explicit (weight, strategy) components and
   is executed component by component.
 * :class:`GridStrategyMixture` describes dyadic families of buy-low/sell-high
-  band strategies and is executed by the closed-form grid kernel
-  :func:`doob_grid_trace`, which avoids materializing the many components:
-  a scale costs O(n) whatever its cell count.
+  band strategies; the closed-form grid kernel :func:`doob_grid_held` counts
+  the held cells of all levels that share a scale in one pass over the path.
+
+A weighted sum of self-financing strategies is the self-financing strategy
+holding the weighted sum of the positions: :func:`run_mixture` forms its one
+capital process, which starts exactly at the mixture's initial capital.
 
 Grid scales are powers of two, so ``x * 2**j`` is an exponent shift and
-exact in float64: cell-boundary comparisons involve no rounding, and the
-grid capital is exact on dyadic prices.
+exact in float64: cell-boundary comparisons involve no rounding, the held
+counts are exact, and so is one level's capital on dyadic prices.
 
 Components beyond the truncation cut are carried as constants: a component
 replaced by a zero-position strategy with the same initial capital keeps the
@@ -29,6 +32,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import (
+    BadPosition,
     BadWeights,
     BoundViolated,
     ConfigError,
@@ -53,7 +57,7 @@ from .variation import VariationFunctional, check_dp_samples, phi_admissible, va
 __all__ = [
     "StrategyMixture",
     "GridLevel",
-    "doob_grid_trace",
+    "doob_grid_held",
     "GridStrategyMixture",
     "Mixture",
     "run_mixture",
@@ -120,25 +124,20 @@ class GridLevel:
 #   iff the last sample outside the open band (c, c+1) was <= c (flat if
 #   every sample since t = 0 stayed inside).
 #
-# So the held count is a clip plus a flag carried forward over runs of
-# samples inside one band.  The grid is then one simple strategy holding
-# that count, and its capital comes from the engine's accumulator
-# `strategies.self_financing`: the initial cash sum k*h plus the
-# cumulative sum of held_{t-1} * (x_t - x_{t-1}).  Cost is O(n) per scale,
-# independent of k_cap.
+# So the held count of cells 0..k_cap-1 is a clip of k_cap - ceil(q) plus a
+# flag carried forward over runs of samples inside one band: O(n) per scale
+# for q and the runs, plus O(n) per cell count for its clip.  The cells'
+# cash is `GridLevel.initial_capital`; `run_mixture` forms the capital.
 
 
-def doob_grid_trace(values: np.ndarray, j_exp: int, k_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample aggregate capital and held-unit count of a dyadic cell grid.
+def doob_grid_held(values: np.ndarray, j_exp: int, k_caps) -> np.ndarray:
+    """Held-unit counts of dyadic cell grids at one scale, one row per cell count.
 
     ``j_exp`` is the scale exponent (cell height ``2**-j_exp``; may be
-    negative), ``k_cap`` the number of cells simulated, ``k = 0..k_cap-1``.
-    The capital counts each cell's initial cash, gains and held units at market.
+    negative); row ``i`` holds, after every sample, the number of cells
+    ``k = 0..k_caps[i]-1`` that hold one unit.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    n = values.shape[0]
-    if k_cap <= 0:
-        return np.zeros(n), np.zeros(n, dtype=np.int64)
+    caps = np.asarray(k_caps, dtype=np.int64).reshape(-1, 1)
     q = np.ldexp(values, j_exp)
     lo = np.floor(q)
     hi = np.ceil(q)
@@ -147,12 +146,11 @@ def doob_grid_trace(values: np.ndarray, j_exp: int, k_cap: int) -> tuple[np.ndar
     # sample is outside it; the straddled cell holds iff that sample was <= c
     start = inside.copy()
     start[1:] &= ~(inside[:-1] & (lo[1:] == lo[:-1]))
-    entered_low = np.zeros(n, dtype=bool)
+    entered_low = np.zeros_like(inside)
     entered_low[1:] = q[:-1] <= lo[1:]
-    run_head = np.maximum.accumulate(np.where(start, np.arange(n), 0))
-    straddled = inside & (lo >= 0.0) & (lo < k_cap) & entered_low[run_head]
-    held = np.clip(k_cap - hi, 0, k_cap).astype(np.int64) + straddled
-    return self_financing(math.ldexp(k_cap * (k_cap - 1) / 2.0, -j_exp), held, values), held
+    run_head = np.maximum.accumulate(np.where(start, np.arange(q.size), 0))
+    straddled = inside & (lo >= 0.0) & entered_low[run_head] & (lo < caps)
+    return np.clip(caps - hi, 0, caps).astype(np.int64) + straddled
 
 
 @dataclass(frozen=True)
@@ -188,15 +186,31 @@ Mixture = Union[StrategyMixture, GridStrategyMixture]
 
 
 def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
-    """Weighted capital trace of a mixture; every component must stay >= 0."""
-    capital = np.full(path.n_samples, mixture.analytic_tail_capital, dtype=np.float64)
+    """Capital of the weighted position sum; components stay >= 0, the sum finite."""
     position = np.zeros(path.n_samples, dtype=np.float64)
-    for w, part_capital, part_position in _run_parts(mixture, path):
-        capital += w * part_capital
-        position += w * part_position
+    if isinstance(mixture, GridStrategyMixture):
+        by_scale = {}
+        for lv in mixture.levels:
+            by_scale.setdefault(lv.scale_exp, []).append(lv)
+        for j, levels in by_scale.items():
+            held = doob_grid_held(path.values, j, [lv.k_count for lv in levels])
+            for lv, row in zip(levels, held):
+                position += lv.cell_weight * row
+    else:
+        for w, strat in mixture.components:
+            trace = run_simple(strat, path)
+            if trace.min_capital < -_NEG_TOL * max(1.0, abs(trace.initial_capital)):
+                raise NegativeComponent(
+                    f"component {strat.describe()} reached capital {trace.min_capital}"
+                )
+            position += w * trace.position
+    s0 = mixture.total_initial
+    capital = self_financing(s0, position, path.values)
+    if not np.isfinite(position).all() or np.isnan(capital[-1]):
+        raise BadPosition(f"{mixture.descriptor}: the summed position or its gains overflow")
     # grid cells are individually positive on positive paths (they buy at or
     # below their cash level); the aggregate check guards the implementation
-    if isinstance(mixture, GridStrategyMixture) and capital.min() < -_NEG_TOL * max(1.0, mixture.total_initial):
+    if isinstance(mixture, GridStrategyMixture) and capital.min() < -_NEG_TOL * max(1.0, s0):
         raise NegativeComponent(f"grid aggregate reached {capital.min()}")
     return CapitalTrace(
         times=path.times,
@@ -204,23 +218,8 @@ def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
         position=position,
         cash=capital - position * path.values,
         firings=(),
-        initial_capital=mixture.total_initial,
+        initial_capital=s0,
     )
-
-
-def _run_parts(mixture: Mixture, path: PricePath):
-    """Weight, capital and position of each grid level or explicit component."""
-    if isinstance(mixture, GridStrategyMixture):
-        for lv in mixture.levels:
-            yield (lv.cell_weight, *doob_grid_trace(path.values, lv.scale_exp, lv.k_count))
-        return
-    for w, strat in mixture.components:
-        trace = run_simple(strat, path)
-        if trace.min_capital < -_NEG_TOL * max(1.0, abs(trace.initial_capital)):
-            raise NegativeComponent(
-                f"component {strat.describe()} reached capital {trace.min_capital}"
-            )
-        yield w, trace.capital, trace.position
 
 
 def borrowing_free_mixture_check(mixture: Mixture, path: PricePath) -> BorrowReport:
@@ -465,7 +464,7 @@ def verify_prop3_bound(
         eps=eps,
         delta=delta,
         N=N,
-        s0=mixture.total_initial,
+        s0=trace.initial_capital,
         s_t=s_t,
         variation=variation,
         sup=sup,

@@ -210,7 +210,7 @@ def self_financing(initial: float, position: np.ndarray, values: np.ndarray) -> 
 
     ``initial`` plus the cumulative gains ``position[t-1] * (values[t] -
     values[t-1])``: the one accumulator of the simple-strategy engine and of
-    the dyadic grid kernel.
+    :func:`mixtures.run_mixture`.
     """
     gains = np.zeros(values.shape[0])
     gains[1:] = position[:-1] * np.diff(values)

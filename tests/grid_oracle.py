@@ -1,10 +1,13 @@
-"""Event-driven reference for ``roughmarket.mixtures.doob_grid_trace``.
+"""Event-driven reference for ``roughmarket.mixtures.doob_grid_held``.
 
-Simulates the dyadic cell grid sample by sample: at each price move it buys
-one unit in every flat cell whose lower edge the price reached and sells in
-every holding cell whose upper edge it reached, and books cash and gains as
-it goes.  Its cost grows with the cells crossed, so it is only a test oracle
-for the closed-form kernel.
+Simulates one dyadic cell grid (one scale, one cell count) sample by sample:
+at each price move it buys one unit in every flat cell whose lower edge the
+price reached and sells in every holding cell whose upper edge it reached,
+and books cash and gains as it goes.  It returns the capital and the held
+count; the kernel returns held counts only, and the tests form its capital
+with ``strategies.self_financing`` from ``GridLevel.initial_capital``.  Its
+cost grows with the cells crossed, so it is only a test oracle for the
+closed-form kernel.
 """
 
 import math

@@ -1,8 +1,9 @@
 """Fuzzed command lines: every drawn argument vector, path file, generator
 spec, suite config and report file ends with exit code 0, 1 or 2 within a
 few seconds, nothing escapes ``main`` but argparse's own ``SystemExit(2)``,
-and a command that exits 0 or 1 wrote no NaN to ``--out``.  Now and then the
-input file is missing or ``--out`` cannot be written.
+and a command that exits 0 or 1 wrote strict JSON (no ``NaN`` or
+``Infinity``) if it writes JSON, and no NaN to a CSV ``--out``.  Now and then
+the input file is missing or ``--out`` cannot be written.
 
 Sizes are drawn small (paths of at most 30 samples, N and n_samples in the
 hundreds) or far past a size guard, so an example that runs is quick and one
@@ -25,6 +26,7 @@ from roughmarket.paths import GENERATOR_KINDS, MAX_SAMPLES
 from roughmarket.strategies import AUDIT_STRATEGIES
 
 SPECIAL_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e400", "abc", "")
+JSON_COMMANDS = ("doob", "prop3", "upper-prob", "borrow-check", "unbounded", "run")
 
 
 def numbers(lo, hi):
@@ -224,4 +226,11 @@ def test_cli_exit_codes(tmp_path, command_line, missing):
     assert rc in (0, 1, 2), argv
     if rc != 2:  # a finished command wrote finite numbers
         text = (out / "report.json" if argv[0] == "run" else out).read_text()
-        assert not re.search(r"\bnan\b", text, re.IGNORECASE), (argv, prices, text)
+        if argv[0] in JSON_COMMANDS:
+            json.loads(text, parse_constant=not_json)
+        else:  # `variation` writes inf on purpose
+            assert not re.search(r"\bnan\b", text, re.IGNORECASE), (argv, prices, text)
+
+
+def not_json(constant):
+    raise AssertionError(f"{constant} is not JSON")

@@ -171,6 +171,7 @@ class TestCli:
         assert main(["doob", "--path", str(sample_csv), "--a", "0", "--b", "inf"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["upcrossings"], payload["bound_rhs"], payload["pass"]) == (0, 0.0, True)
+        assert payload["b"] is None
 
     def test_prop3_json(self, sample_csv, capsys):
         rc = main(
@@ -226,7 +227,7 @@ class TestCli:
 
 MISSING = "<missing>"  # a file under a directory that does not exist
 PATH_COMMANDS = (
-    "prop3", "crossings", "qvar", "unbounded", "upper-prob", "variation", "borrow-check"
+    "prop3", "crossings", "doob", "qvar", "unbounded", "upper-prob", "variation", "borrow-check"
 )
 
 MALFORMED = {
@@ -338,6 +339,8 @@ MALFORMED = {
         ["borrow-check", "--strategy", "leveraged"],
         [5e-324, 0, 0],
     ),
+    # three gains of 1.7e308 make the final capital inf, which JSON cannot hold
+    "doob-infinite-capital": (["doob", "--a", "0.5", "--b", "1"], [0, 1.7e308] * 3),
     # a bytes payload for a path command is the path file itself
     "path-not-utf8": (["variation"], b"t,x\n\xff\xfe,1\n"),
     "path-missing": (["variation", "--path", MISSING], None),
@@ -358,8 +361,9 @@ class TestMalformedInput:
         def no_band_loop(*args):
             raise AssertionError("per-band loop ran on a rejected step")
 
-        monkeypatch.setattr(cli, "crossings", no_band_loop)
         argv, payload = MALFORMED[name]
+        if argv[0] == "crossings":
+            monkeypatch.setattr(cli, "crossings", no_band_loop)
         argv = [str(tmp_path / "no-such-dir" / "file") if x == MISSING else x for x in argv]
         if argv[0] in PATH_COMMANDS and "--path" not in argv:
             path_file = sample_csv

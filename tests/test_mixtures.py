@@ -5,6 +5,7 @@ import pytest
 
 from roughmarket import (
     AtIndex,
+    GridLevel,
     SimpleStrategy,
     StrategyMixture,
     VariationFunctional,
@@ -18,13 +19,15 @@ from roughmarket import (
     volatility_mixture,
 )
 from roughmarket.errors import (
+    BadPosition,
     BadWeights,
     BoundViolated,
     InadmissiblePhi,
     NegativeComponent,
     TruncationUnsafe,
 )
-from roughmarket.mixtures import _resolve_scale_cut, doob_grid_trace, prop3_initial_capital
+from roughmarket.mixtures import _resolve_scale_cut, doob_grid_held, prop3_initial_capital
+from roughmarket.strategies import self_financing
 
 from conftest import random_positive_path, step_path
 from grid_oracle import doob_grid_events
@@ -71,6 +74,13 @@ class TestRunMixture:
         trace = run_mixture(mix, step_path([1.0, 2.0]))
         assert np.all(trace.capital == 0.75)
         assert trace.initial_capital == 0.75
+
+    def test_summed_position_overflow_raises(self):
+        # each component alone holds 1e308 units; their sum is inf
+        big = SimpleStrategy(1.0, ((AtIndex(0), 1e308),))
+        mix = StrategyMixture(components=((1.0, big), (1.0, big)))
+        with pytest.raises(BadPosition):
+            run_mixture(mix, step_path([1.0, 1.0, 1.5]))
 
 
 class TestVolatilityMixtureConstruction:
@@ -164,17 +174,28 @@ class TestGridAgainstExplicit:
         mix = volatility_mixture(None, 2, j_policy=6, kind="prop3", eps=0.5, delta=1.0)
         path = step_path([1.0, 2.0, 0.5, 3.0])
         trace = run_mixture(mix, path)
-        assert trace.capital[0] == pytest.approx(mix.total_initial, rel=1e-12)
+        assert trace.capital[0] == mix.total_initial
 
 
 class TestGridKernelOracle:
-    """Closed-form grid kernel against the event-driven reference."""
+    """Closed-form grid kernel against the event-driven reference.
+
+    The kernel runs once per scale with all four cell counts; each row's
+    capital is the cells' initial cash plus its held units' gains.
+    """
 
     @staticmethod
     def _caps(values, j):
         # one cell, cells below the price range, exactly the range, beyond it
         top = max(1, math.ceil(math.ldexp(float(values.max()), j)))
         return (1, max(1, top // 3), top, top + 3)
+
+    @classmethod
+    def _rows(cls, values, j):
+        caps = cls._caps(values, j)
+        for k_cap, held in zip(caps, doob_grid_held(values, j, caps), strict=True):
+            cash = GridLevel(0, j, k_cap, 1.0).initial_capital  # weight 1: the oracle's cash
+            yield k_cap, held, self_financing(cash, held, values)
 
     def test_dyadic_paths_bit_identical(self):
         rng = np.random.default_rng(31)
@@ -188,8 +209,7 @@ class TestGridKernelOracle:
                 ticks[rng.integers(0, n, size=2)] = 0
             values = np.ldexp(ticks.astype(np.float64), -bits)
             for j in range(-3, 7):  # j >= bits puts every sample on a band edge
-                for k_cap in self._caps(values, j):
-                    agg, held = doob_grid_trace(values, j, k_cap)
+                for k_cap, held, agg in self._rows(values, j):
                     ref_agg, ref_held = doob_grid_events(values, j, k_cap)
                     assert np.array_equal(held, ref_held), (case, j, k_cap)
                     assert np.array_equal(agg, ref_agg), (case, j, k_cap)
@@ -202,16 +222,15 @@ class TestGridKernelOracle:
             if case % 5 == 0:
                 values[int(rng.integers(0, values.size))] = 0.0
             for j in range(-2, 6):
-                for k_cap in self._caps(values, j):
-                    agg, held = doob_grid_trace(values, j, k_cap)
+                for k_cap, held, agg in self._rows(values, j):
                     ref_agg, ref_held = doob_grid_events(values, j, k_cap)
                     assert np.array_equal(held, ref_held), (case, j, k_cap)
                     err = np.max(np.abs(agg - ref_agg))
                     assert err <= 1e-12 * np.max(np.abs(ref_agg)), (case, j, k_cap)
 
     def test_empty_grid(self):
-        agg, held = doob_grid_trace(np.array([1.0, 2.0]), 0, 0)
-        assert np.array_equal(agg, [0.0, 0.0]) and np.array_equal(held, [0, 0])
+        assert np.array_equal(doob_grid_held(np.array([1.0, 2.0]), 0, [0]), [[0, 0]])
+        assert doob_grid_held(np.array([1.0, 2.0]), 0, []).shape == (0, 2)
 
 
 class TestCrossingInequality:
