@@ -22,6 +22,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 from .errors import ParseError, RoughMarketError
 from .experiments import (
@@ -324,7 +326,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a non-finite result raises BadPosition or NonFiniteResult, so
+        # numpy's overflow warnings would only print ahead of that error
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (RoughMarketError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -286,20 +286,26 @@ def clairvoyant_strategy(path: PricePath) -> tuple[SimpleStrategy, float]:
     adapted) and the achieved growth factor, which equals
     exp(var_plus(log path)) exactly.  Factors accumulate in the log domain
     and are exponentiated once; :class:`BadPosition` if that overflows.
+    A rule is kept only where it changes the held position (the position
+    before the first rule is 0), plus the final liquidation.
     """
     values = path.values
     if np.any(values == 0.0):
         raise ZeroPrice("clairvoyant reinvestment requires strictly positive prices")
+    v = values.tolist()
     log_k = 0.0
+    held = 0.0
     rules: list[tuple[StoppingRule, float]] = []
     try:
-        for i in range(values.shape[0] - 1):
-            if values[i + 1] > values[i]:
-                h = math.exp(log_k) / values[i]
-                log_k += math.log(values[i + 1]) - math.log(values[i])
+        for i, (a, b) in enumerate(zip(v, v[1:])):
+            if b > a:
+                h = math.exp(log_k) / a
+                log_k += math.log(b) - math.log(a)
             else:
                 h = 0.0
-            rules.append((AtIndex(i), h))
+            if h != held:
+                rules.append((AtIndex(i), h))
+                held = h
         factor = math.exp(log_k)
     except OverflowError as e:
         raise BadPosition(f"clairvoyant growth factor exp({log_k:g}) overflows float64") from e

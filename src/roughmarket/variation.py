@@ -5,10 +5,11 @@ the path at sample values, and any strictly increasing index subsequence
 through the first and last sample is realizable as a partition.  The DP over
 index subsequences therefore computes the true supremum.  For star-shaped
 gauges (phi(u)/u nondecreasing) :func:`var_phi` runs it on the turning points
-with a stack of undominated left ends, near-linear on typical paths;
-:func:`var_dp` is the O(n^2) DP over every sample, which the mesh-constrained
-:func:`qvar_profile` and other gauges use.  Both take at most
-:data:`MAX_DP_SAMPLES` samples.
+with a stack of undominated left ends, near-linear on typical paths, taking
+the points in blocks so that one gauge call scores the stack entries that no
+point of the block removes; :func:`var_dp` is the O(n^2) DP over every
+sample, which the mesh-constrained :func:`qvar_profile` and other gauges use.
+Both take at most :data:`MAX_DP_SAMPLES` samples.
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ class VariationFunctional:
         return self.kind
 
 
-# at this size, 2-vCPU VM: var_dp 15 s (p = 2.5), 21 s (psi); var_phi 0.2 s on
-# fractional noise, 3 s on a drift with small reversals (p = 2.5, one deep stack)
+# at this size, 2-vCPU VM: var_dp 15 s (p = 2.5), 21 s (psi); var_phi 0.1 s on
+# fractional noise, 3.7 s (p = 2.5) and 5.5 s (psi) on a drift with small
+# reversals (one deep stack)
 MAX_DP_SAMPLES = 1 << 16
 
 
@@ -248,6 +250,13 @@ def turning_points(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[:1], values[turns], values[-1:]))
 
 
+_STAR_ROWS = 128  # turning points per block of _star_dp; 96-192 measure alike
+# rows x deeper stack per block: a prefix array stays near 64 KB, as arrays of
+# 128 KB and more measured 2x slower per cell with psi
+_STAR_CELLS = 1 << 14
+_STAR_MIN_PREFIX = 32  # stable cells below this join the other candidates
+
+
 def _star_dp(y: np.ndarray, gauge: Callable) -> float:
     """The variation DP over alternating turning points ``y``, at least two.
 
@@ -255,8 +264,27 @@ def _star_dp(y: np.ndarray, gauge: Callable) -> float:
     stack of its undominated entries (see :func:`var_phi`).  With c = y at
     maxima and c = -y at minima, a step between opposite types has increment
     c_i + c_j, and an entry j of i's type is dominated once c_j <= c_i, so
-    each stack holds strictly decreasing c from the bottom up.  The stacks
-    live in preallocated arrays; Python lists mirror their c for the pops.
+    each stack holds strictly decreasing c from the bottom up.  Point i
+    takes best_i = max over the opposite stack of best_j + gauge(c_i + c_j),
+    then pops and pushes its own stack.
+
+    Points go in blocks of :data:`_STAR_ROWS`, fewer when the deeper stack
+    times the rows would pass :data:`_STAR_CELLS`.  The pops read c, never
+    best, so a first pass over the block replays them, with the Python lists
+    that mirror each stack's c, and finds the lowest height each stack falls
+    to.  The entries below that height are the stable prefix: no point of
+    the block pops or overwrites them, and a stack is only ever cut from
+    the top, so every one of them is on the stack whenever a point of the
+    other type reads it.  The prefix is scored for all those points with one
+    gauge call on a (points x prefix) array and one row max, unless it has
+    fewer than :data:`_STAR_MIN_PREFIX` cells.  The other entries a point
+    reads (pushed in the block, or popped in it) take one gauge call on
+    their pairs, and a scalar pass replays the stack tops with their best.
+    Every candidate is the same float sum as in the point-at-a-time DP,
+    which reads the whole opposite stack, and max is exact (no candidate is
+    NaN: increments of finite prices are finite, and the gauges map them to
+    non-NaN values), so the result is bit-identical to it.  The stacks live
+    in preallocated arrays, written back after each block.
     """
     m = y.shape[0]
     c = y.copy()
@@ -267,20 +295,61 @@ def _star_dp(y: np.ndarray, gauge: Callable) -> float:
     mirrors = ([cl[0]], [])
     stack_c[0][0] = cl[0]
     stack_best[0][0] = 0.0
-    for i in range(1, m):
-        ci = cl[i]
-        own = i & 1
-        left = own ^ 1
-        t = len(mirrors[left])
-        # the method, not np.max, which adds 2 us per point
-        best = (stack_best[left][:t] + gauge(ci + stack_c[left][:t])).max()
-        stack = mirrors[own]
-        while stack and stack[-1] <= ci:
-            stack.pop()
-        t = len(stack)
-        stack.append(ci)
-        stack_c[own][t] = ci
-        stack_best[own][t] = best
+    s = 1
+    while s < m:
+        h0 = (len(mirrors[0]), len(mirrors[1]))
+        e = min(m, s + max(2, min(_STAR_ROWS, _STAR_CELLS // max(h0))))
+        low = list(h0)
+        push = []  # each point's height in its own stack
+        for i in range(s, e):
+            ci = cl[i]
+            own = i & 1
+            stack = mirrors[own]
+            while stack and stack[-1] <= ci:
+                stack.pop()
+            t = len(stack)
+            if t < low[own]:
+                low[own] = t
+            push.append(t)
+            stack.append(ci)
+        # the first point of each type; points of type own read stack own ^ 1
+        firsts = (s + (s & 1), s + 1 - (s & 1))
+        for own in (0, 1):
+            if low[own ^ 1] * len(range(firsts[own], e, 2)) < _STAR_MIN_PREFIX:
+                low[own ^ 1] = 0
+        # the entries above the prefix, replayed with their c, then their best
+        top_c = [stack_c[k][low[k] : h0[k]].tolist() for k in (0, 1)]
+        xs = []
+        counts = []
+        for i, t in zip(range(s, e), push):
+            own = i & 1
+            top = top_c[own ^ 1]
+            xs += top
+            counts.append(len(top))
+            del top_c[own][t - low[own] :]
+            top_c[own].append(cl[i])
+        top_g = iter(gauge(c[s:e].repeat(counts) + np.array(xs)).tolist() if xs else ())
+        pre = [-math.inf] * (e - s)
+        for own in (0, 1):
+            h = low[own ^ 1]
+            if h:
+                cand = gauge(c[firsts[own] : e : 2, None] + stack_c[own ^ 1][:h])
+                cand += stack_best[own ^ 1][:h]  # in place: one array fewer
+                pre[firsts[own] - s :: 2] = cand.max(axis=1).tolist()
+        top_best = [stack_best[k][low[k] : h0[k]].tolist() for k in (0, 1)]
+        for i, t, best in zip(range(s, e), push, pre):
+            own = i & 1
+            for b in top_best[own ^ 1]:
+                v = b + next(top_g)
+                if v > best:
+                    best = v
+            del top_best[own][t - low[own] :]
+            top_best[own].append(best)
+        if e < m:
+            for k in (0, 1):
+                stack_c[k][low[k] : len(mirrors[k])] = top_c[k]
+                stack_best[k][low[k] : len(mirrors[k])] = top_best[k]
+        s = e
     return float(best)
 
 
@@ -310,9 +379,13 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
         values (maxima: strictly decreasing), and every entry on the stack is
         a valid left end for the next extremum.
 
-    The DP is then one pass over the m turning points, one gauge call over
-    the opposite stack per point: near-linear on typical paths, O(m^2) when
-    small reversals of a drifting path keep the stack growing.  Other gauges
+    The DP is then one pass over the m turning points, each scored against
+    the opposite stack: near-linear on typical paths, O(m^2) when small
+    reversals of a drifting path keep the stack growing.  Whether an entry
+    leaves a stack depends on values only, never on chain values, so the
+    points go in blocks (see :func:`_star_dp`): the entries that stay on a
+    stack through a whole block are valid left ends for every point of the
+    block that reads it, and one gauge call scores them all.  Other gauges
     take the O(n^2) :func:`var_dp` over every sample.
     """
     if phi.kind == "power" and phi.p <= 1.0:

@@ -1,6 +1,7 @@
 import json
 import signal
 import time
+import warnings
 
 import pytest
 
@@ -392,12 +393,15 @@ class TestMalformedInput:
         signal.alarm(20)
         t0 = time.perf_counter()
         try:
-            rc = main(argv)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         err = capsys.readouterr().err
         assert rc == 2
+        assert [str(w.message) for w in caught] == []
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert time.perf_counter() - t0 < 5.0

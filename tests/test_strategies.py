@@ -276,6 +276,31 @@ class TestClairvoyant:
             slack = 1e-9 * np.maximum(1.0, trace.capital[invested])
             assert np.all(np.abs(trace.cash[invested]) <= slack)
 
+    def test_rules_only_where_the_position_changes(self):
+        """Same trace as one rule per sample (h = 0 on moves that are not up)."""
+        rng = np.random.default_rng(21)
+        for k in range(60):
+            path = random_positive_path(rng, n_max=60)
+            if k % 2:  # plateaus and repeated up and down runs
+                path = step_path(0.25 + np.round(path.values * 4.0) / 4.0)
+            strat, factor = clairvoyant_strategy(path)
+            values = path.values.tolist()
+            log_k, per_sample = 0.0, []
+            for i in range(len(values) - 1):
+                h = 0.0
+                if values[i + 1] > values[i]:
+                    h = math.exp(log_k) / values[i]
+                    log_k += math.log(values[i + 1]) - math.log(values[i])
+                per_sample.append((AtIndex(i), h))
+            per_sample.append((AtIndex(len(values) - 1), 0.0))
+            got = run_simple(strat, path)
+            want = run_simple(replace(strat, rules=tuple(per_sample)), path)
+            assert factor == math.exp(log_k)
+            for name in ("position", "capital", "cash"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            held = [h for _, h in strat.rules[:-1]]
+            assert all(a != b for a, b in zip([0.0] + held, held))
+
 
 class TestUpperProb:
     def test_linear_drift_half(self):

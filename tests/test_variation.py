@@ -21,10 +21,12 @@ from roughmarket import (
 )
 from roughmarket import variation
 from roughmarket.errors import BadStep, TooLarge
-from roughmarket.variation import _DP_BLOCK, MAX_DP_SAMPLES, var_dp
+from roughmarket.paths import discretize
+from roughmarket.variation import _DP_BLOCK, _STAR_ROWS, MAX_DP_SAMPLES, turning_points, var_dp
 
 from conftest import random_positive_path, step_path
 from dp_oracle import var_dp as oracle_dp
+from star_oracle import _star_dp as oracle_star_dp
 from test_acceptance import _positive_walk
 
 P_GRID = (0.5, 1.0, 2.0, 2.5, 3.0)
@@ -265,6 +267,88 @@ class TestBlockedDP:
         path = generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5))
         gauge = SQRT_TABLE.on_increments
         assert var_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+
+
+def assert_star_identical(path, gauges):
+    y = turning_points(path.values)
+    for phi in gauges:
+        assert var_phi(path, phi) == oracle_star_dp(y, phi.on_increments), phi.label
+
+
+def drift_with_reversals(n, tick=2.0**-10):
+    """Ticks of +2 and -1: the minima rise, so their stack never pops."""
+    steps = np.where(np.arange(n - 1) % 2 == 0, 2.0, -1.0) * tick
+    return step_path(1.0 + np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+VARIATION_LONG_SPECS = (
+    dict(kind="exp-fractional", hurst=0.4, sigma=0.5),
+    dict(kind="exp-fractional", hurst=0.6, sigma=0.5),
+    dict(kind="jump", jump_rate=300.0, jump_sigma=0.05),
+)
+TABLE_U = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0)
+VARIATION_LONG_GAUGES = (
+    VariationFunctional.power(2.5),
+    VariationFunctional.taylor_psi(),
+    VariationFunctional.from_table(TABLE_U, [u * u for u in TABLE_U]),
+)
+STAR_EDGE_COUNTS = (2, 3, _STAR_ROWS - 1, _STAR_ROWS, _STAR_ROWS + 1, 2 * _STAR_ROWS, 2 * _STAR_ROWS + 1)
+
+
+class TestBlockedStarDP:
+    """``var_phi`` runs star-shaped gauges in blocks of turning points; it
+    must give what the point-at-a-time DP of ``star_oracle`` gives, bit for
+    bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(reduction_paths(200), edge_paths(200)))
+    def test_reduction_and_edge_paths(self, path):
+        assert_star_identical(path, STAR_GAUGES)
+
+    @pytest.mark.parametrize("m", STAR_EDGE_COUNTS)
+    def test_turning_point_counts_at_block_edges(self, m):
+        for seed in range(3):
+            walk = np.exp(np.cumsum(np.random.default_rng(seed).normal(0.0, 0.3, size=8 * m)))
+            y = turning_points(walk)[:m]
+            assert y.shape[0] == m
+            assert turning_points(y).shape[0] == m
+            assert_star_identical(step_path(y), STAR_GAUGES)
+        y = turning_points(drift_with_reversals(m).values)
+        assert y.shape[0] == m
+        assert_star_identical(step_path(y), STAR_GAUGES)
+
+    @pytest.mark.parametrize("spec", VARIATION_LONG_SPECS, ids=lambda s: f"{s['kind']}-{s.get('hurst')}")
+    def test_variation_long_paths(self, spec):
+        for seed in (5, 6):
+            path = generate(GeneratorSpec(n_samples=4097, seed=seed, **spec))
+            assert_star_identical(path, VARIATION_LONG_GAUGES)
+
+    @pytest.mark.parametrize("hurst", (0.4, 0.5, 0.6))
+    def test_prop3_long_paths(self, hurst):
+        tick = 2.0**-16
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=hurst, sigma=0.5, seed=9))
+        path = path.with_values(np.round(path.values / tick) * tick)
+        gauges = (VariationFunctional.power(2.5), VariationFunctional.power(3.0))
+        for n_steps in (64, 256, 1024):
+            assert_star_identical(discretize(path, n_steps), gauges)
+
+    def test_deep_stack_blocks_shrink(self, monkeypatch):
+        budget = 64
+        monkeypatch.setattr(variation, "_STAR_CELLS", budget)
+        path = drift_with_reversals(801)
+        for phi in STAR_GAUGES:
+            shapes = []
+
+            def gauge(d, phi=phi):
+                shapes.append(d.shape)
+                return phi.on_increments(d)
+
+            y = turning_points(path.values)
+            assert variation._star_dp(y, gauge) == oracle_star_dp(y, phi.on_increments)
+            prefixes = [shape for shape in shapes if len(shape) == 2]
+            # one point of each type per block at least, whatever the budget
+            assert prefixes and all(rows * cols <= max(budget, cols) for rows, cols in prefixes)
+            assert min(rows for rows, _ in prefixes) < _STAR_ROWS // 2
 
 
 class TestBruteForce:
