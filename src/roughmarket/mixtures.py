@@ -71,6 +71,7 @@ __all__ = [
 
 _NEG_TOL = 1e-9
 CELL_BUDGET = 1 << 25  # simulated cells per mixture; finer scales fold into the tail
+MAX_COMPONENTS = 1 << 16  # banded components that iter_components materializes
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,10 @@ class GridStrategyMixture:
     def n_components(self) -> int:
         return sum(lv.k_count for lv in self.levels)
 
-    def iter_components(
-        self, max_components: int = 1 << 16
-    ) -> Iterator[tuple[float, SimpleStrategy]]:
-        """Materialize the banded components (small grids only)."""
-        if self.n_components > max_components:
-            raise ValueError(f"{self.n_components} components exceed {max_components}")
+    def iter_components(self) -> Iterator[tuple[float, SimpleStrategy]]:
+        """Materialize the banded components (at most :data:`MAX_COMPONENTS`)."""
+        if self.n_components > MAX_COMPONENTS:
+            raise ValueError(f"{self.n_components} components exceed {MAX_COMPONENTS}")
         for lv in self.levels:
             h = lv.cell_height
             for k in range(lv.k_count):
@@ -203,7 +202,8 @@ def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
                 raise NegativeComponent(
                     f"component {strat.describe()} reached capital {trace.min_capital}"
                 )
-            position += w * trace.position
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                position += w * trace.position
     s0 = mixture.total_initial
     capital = self_financing(s0, position, path.values)
     if not np.isfinite(position).all() or np.isnan(capital[-1]):
@@ -212,11 +212,13 @@ def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
     # below their cash level); the aggregate check guards the implementation
     if isinstance(mixture, GridStrategyMixture) and capital.min() < -_NEG_TOL * max(1.0, s0):
         raise NegativeComponent(f"grid aggregate reached {capital.min()}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a held value may overflow
+        cash = capital - position * path.values
     return CapitalTrace(
         times=path.times,
         capital=capital,
         position=position,
-        cash=capital - position * path.values,
+        cash=cash,
         firings=(),
         initial_capital=s0,
     )
@@ -254,7 +256,6 @@ def _resolve_scale_cut(
     path_hint,
     j_floor: int,
     class_lows: list[tuple[int, int]],
-    cell_budget: int = CELL_BUDGET,
 ) -> int:
     if j_policy is None and path_hint is None:
         raise TruncationUnsafe("need a path hint or an explicit scale cutoff")
@@ -268,7 +269,7 @@ def _resolve_scale_cut(
     def n_cells(c: int) -> int:
         return sum(1 << (L + j) for L, j_lo in class_lows for j in range(j_lo, c + 1))
 
-    while cut > j_floor and n_cells(cut) > cell_budget:
+    while cut > j_floor and n_cells(cut) > CELL_BUDGET:
         cut -= 1
     return cut
 

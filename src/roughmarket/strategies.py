@@ -210,11 +210,13 @@ def self_financing(initial: float, position: np.ndarray, values: np.ndarray) -> 
 
     ``initial`` plus the cumulative gains ``position[t-1] * (values[t] -
     values[t-1])``: the one accumulator of the simple-strategy engine and of
-    :func:`mixtures.run_mixture`.
+    :func:`mixtures.run_mixture`.  Overflow gives inf and inf - inf NaN,
+    silently: the callers check the result.
     """
     gains = np.zeros(values.shape[0])
-    gains[1:] = position[:-1] * np.diff(values)
-    return np.cumsum(gains) + initial
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains[1:] = position[:-1] * np.diff(values)
+        return np.cumsum(gains) + initial
 
 
 def _run(strategy: SimpleStrategy, path: PricePath) -> CapitalTrace:
@@ -238,11 +240,13 @@ def _run(strategy: SimpleStrategy, path: PricePath) -> CapitalTrace:
         position[c:] = 0.0
     if np.isnan(capital[-1]):  # gains of +inf and -inf
         raise BadPosition(f"{strategy.describe()}: a position times a price move overflows float64")
+    with np.errstate(over="ignore", invalid="ignore"):  # a held value may overflow
+        cash = capital - position * values
     return CapitalTrace(
         times=times,
         capital=capital,
         position=position,
-        cash=capital - position * values,
+        cash=cash,
         firings=tuple(executed),
         initial_capital=float(strategy.initial_capital),
     )

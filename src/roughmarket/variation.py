@@ -8,8 +8,10 @@ gauges (phi(u)/u nondecreasing) :func:`var_phi` runs it on the turning points
 with a stack of undominated left ends, near-linear on typical paths, taking
 the points in blocks so that one gauge call scores the stack entries that no
 point of the block removes; :func:`var_dp` is the O(n^2) DP over every
-sample, which the mesh-constrained :func:`qvar_profile` and other gauges use.
-Both take at most :data:`MAX_DP_SAMPLES` samples.
+sample, which the mesh-constrained :func:`qvar_profile` and other gauges use,
+taking right ends in blocks so that one gauge call scores all of a block's
+left ends and one vector max finishes each right end.  Both take at most
+:data:`MAX_DP_SAMPLES` samples.
 """
 
 from __future__ import annotations
@@ -162,9 +164,9 @@ class VariationFunctional:
         return self.kind
 
 
-# at this size, 2-vCPU VM: var_dp 15 s (p = 2.5), 21 s (psi); var_phi 0.1 s on
-# fractional noise, 3.7 s (p = 2.5) and 5.5 s (psi) on a drift with small
-# reversals (one deep stack)
+# at this size, 2-vCPU VM: var_dp 14.6 s (p = 2.5), 20.8 s (psi) on fractional
+# noise; var_phi 0.1 s on fractional noise, 3.7 s (p = 2.5) and 5.5 s (psi) on a
+# drift with small reversals (one deep stack)
 MAX_DP_SAMPLES = 1 << 16
 
 
@@ -174,7 +176,9 @@ def check_dp_samples(n: int) -> None:
         raise TooLarge(f"{n} samples; the exact variation DP takes at most {MAX_DP_SAMPLES}")
 
 
-_DP_BLOCK = 24  # right ends per block of var_dp; 16-32 measure alike
+# rows x window per block of var_dp, so a gauge array stays near 128 KB or
+# below: larger ones measured 2x slower per cell with psi; 2^12-2^14 measure alike
+_DP_CELLS = 1 << 13
 
 
 def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None) -> float:
@@ -185,50 +189,39 @@ def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None)
     step from into ``i`` (nondecreasing, ``first[i] < i``); by default any
     ``j < i``.  best[i] is the max over those j of best[j] + gauge(|x_i - x_j|).
 
-    Right ends go in blocks [s, e) of :data:`_DP_BLOCK`.  Left ends before
-    the block, [first[s], s), take one gauge call on the (e-s) x window
-    increments and one row max, with entries j < first[i] set to -inf (a row
-    may start after first[s]).  Left ends inside the block take one gauge
-    call on the (e-s) x (e-s) increments and a scalar loop over the pairs
-    max(first[i], s) <= j < i, each row starting from its pre-block max.
-    Every candidate best[j] + g is the same float sum as in the one-row-
-    per-right-end DP and max is exact, so the result is bit-identical to it
+    Right ends go in blocks [s, e) of at most w = s - first[s] rows, fewer
+    when the rows times w would pass :data:`_DP_CELLS`.  One gauge call takes
+    the increments of the block's rows against every left end any of them
+    reads, [first[s], e-1); as first is nondecreasing and e - s <= w, that
+    array has fewer than 2 w (e - s) cells, so at most 2 :data:`_DP_CELLS`
+    unless a single row's window passes it.  Then each row i, in order, takes
+    one vector max of best[first[i]:i] plus its slice of those gauge values:
+    the left ends inside the block are final by the time row i reads them.
+    Every candidate best[j] + g is the same float sum as in the one-row-per-
+    right-end DP and max is exact, so the result is bit-identical to it
     whenever the gauge gives an element of a 2-D array the value it gives
     the same element of a 1-D slice (psi, powers and ``np.interp`` are
-    elementwise).  No candidate is NaN, since increments of finite prices
-    are finite and the gauges map them to non-NaN values, so the scalar
-    ``v > m`` agrees with ``np.max``.  O(n^2) time, O(n) memory.
+    elementwise).  O(n^2) time, O(n) memory.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
     check_dp_samples(n)
     if n < 2:
         return 0.0
-    if first is None:
-        first = np.zeros(n, dtype=np.int64)
-    starts = first.tolist()
-    best = [0.0]  # the scalar loop reads the list, the block rows the array
-    best_arr = np.empty(n, dtype=np.float64)
-    best_arr[0] = 0.0
-    for s in range(1, n, _DP_BLOCK):
-        e = min(s + _DP_BLOCK, n)
-        rows = values[s:e, None]
+    starts = [0] * n if first is None else first.tolist()
+    best = np.empty(n, dtype=np.float64)
+    best[0] = 0.0
+    s = 1
+    while s < n:
         lo = starts[s]
-        cand = best_arr[lo:s] + gauge(np.abs(rows - values[lo:s]))
-        if starts[e - 1] > lo:
-            cand[np.arange(lo, s) < first[s:e, None]] = -math.inf
-        pre_max = cand.max(axis=1).tolist()
-        inner = gauge(np.abs(rows - values[s:e])).tolist()
+        w = s - lo
+        e = min(n, s + max(1, min(w, _DP_CELLS // w)))
+        g = gauge(np.abs(values[s:e, None] - values[lo : e - 1]))
         for i in range(s, e):
-            g = inner[i - s]
-            m = pre_max[i - s]
-            for j in range(max(starts[i], s), i):
-                v = best[j] + g[j - s]
-                if v > m:
-                    m = v
-            best.append(m)
-        best_arr[s:e] = best[s:e]
-    return best[n - 1]
+            a = starts[i]
+            best[i] = (best[a:i] + g[i - s, a - lo : i - lo]).max()  # np.max costs ~2 us more
+        s = e
+    return float(best[n - 1])
 
 
 def turning_points(values: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from roughmarket.errors import (
     NegativeComponent,
     TruncationUnsafe,
 )
+from roughmarket import mixtures
 from roughmarket.mixtures import _resolve_scale_cut, doob_grid_held, prop3_initial_capital
 from roughmarket.strategies import self_financing
 
@@ -76,11 +78,19 @@ class TestRunMixture:
         assert trace.initial_capital == 0.75
 
     def test_summed_position_overflow_raises(self):
-        # each component alone holds 1e308 units; their sum is inf
+        # each component alone holds 1e308 units; their sum is inf, and the
+        # error says so without a numpy warning on the way
         big = SimpleStrategy(1.0, ((AtIndex(0), 1e308),))
         mix = StrategyMixture(components=((1.0, big), (1.0, big)))
-        with pytest.raises(BadPosition):
+        with warnings.catch_warnings(), pytest.raises(BadPosition):
+            warnings.simplefilter("error", RuntimeWarning)
             run_mixture(mix, step_path([1.0, 1.0, 1.5]))
+
+    def test_held_value_overflow_is_inf_cash(self):
+        # 1e308 units at price 2 are worth more than float64 holds
+        big = SimpleStrategy(1.0, ((AtIndex(0), 1e308),))
+        trace = run_mixture(StrategyMixture(components=((1.0, big),)), step_path([1.0, 1.0, 2.0]))
+        assert trace.final_capital == 1e308 and trace.cash[-1] == -math.inf
 
 
 class TestVolatilityMixtureConstruction:
@@ -127,10 +137,12 @@ class TestVolatilityMixtureConstruction:
         with pytest.raises(ValueError):
             volatility_mixture(None, 0, j_policy=4, kind="nope")
 
-    def test_cell_budget_lowers_cut(self):
+    def test_cell_budget_lowers_cut(self, monkeypatch):
         # one size class L = 0: scales 0..cut hold 2^(cut+1) - 1 cells
-        cut = _resolve_scale_cut(20, None, 0, [(0, 0)], cell_budget=2**10)
+        monkeypatch.setattr(mixtures, "CELL_BUDGET", 2**10)
+        cut = _resolve_scale_cut(20, None, 0, [(0, 0)])
         assert cut == 9  # 2^10 - 1 cells; scale 10 would exceed the budget
+        monkeypatch.undo()
         assert volatility_mixture(P25, 0, j_policy=20).scale_cut == 20
 
     def test_scale_cut_from_path_hint(self):
@@ -376,8 +388,9 @@ class TestCrossingExplosion:
 class TestGridMixtureProperties:
     def test_components_materialization_guard(self):
         mix = volatility_mixture(P25, 2, j_policy=14, kind="prop1")
+        assert mix.n_components == 131068  # past the 2^16 that iter_components takes
         with pytest.raises(ValueError):
-            list(mix.iter_components(max_components=100))
+            next(mix.iter_components())
 
     def test_positions_nonnegative(self):
         rng = np.random.default_rng(9)

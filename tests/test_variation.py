@@ -22,7 +22,7 @@ from roughmarket import (
 from roughmarket import variation
 from roughmarket.errors import BadStep, TooLarge
 from roughmarket.paths import discretize
-from roughmarket.variation import _DP_BLOCK, _STAR_ROWS, MAX_DP_SAMPLES, turning_points, var_dp
+from roughmarket.variation import _DP_CELLS, _STAR_ROWS, MAX_DP_SAMPLES, turning_points, var_dp
 
 from conftest import random_positive_path, step_path
 from dp_oracle import var_dp as oracle_dp
@@ -208,7 +208,22 @@ def assert_qvar_identical(path, deltas):
 
 
 VARIATION_LONG_MESHES = (2.0**-4, 2.0**-6, 2.0**-8)
-BLOCK_EDGE_SIZES = sorted({2, 3} | {k * _DP_BLOCK + 1 + d for k in (1, 2) for d in (-1, 0, 1)})
+CRITERION_6_MESHES = (1.0, 0.4, 0.15, 0.05, 0.01)
+
+
+def unconstrained_block_ends(n_max, cells=_DP_CELLS):
+    """Where ``var_dp``'s blocks end when any left end is allowed: a block
+    starting at s has window s and min(s, cells // s) rows, at least one."""
+    ends = []
+    s = 1
+    while s < n_max:
+        s += max(1, min(s, cells // s))
+        ends.append(s)
+    return ends
+
+
+# powers of two up to the square root of the budget, then steps of cells // s
+BLOCK_EDGE_SIZES = sorted({e + d for e in unconstrained_block_ends(200) for d in (-1, 0, 1)} - {1})
 
 
 @st.composite
@@ -216,7 +231,7 @@ def blocked_dp_cases(draw):
     """(path, strictly decreasing mesh bounds): sample counts on both sides
     of each block edge, irregular times so that first[] jumps inside a block,
     plateaus and constant paths, and meshes from inf to below the finest gap."""
-    n = draw(st.one_of(st.sampled_from(BLOCK_EDGE_SIZES), st.integers(2, 4 * _DP_BLOCK)))
+    n = draw(st.one_of(st.sampled_from(BLOCK_EDGE_SIZES), st.integers(2, 200)))
     shape = draw(st.sampled_from(["walk", "levels", "constant"]))
     if shape == "walk":
         steps = draw(st.lists(st.floats(-0.5, 0.5, allow_nan=False), min_size=n - 1, max_size=n - 1))
@@ -239,7 +254,7 @@ class TestBlockedDP:
     row-at-a-time DP of ``dp_oracle`` gives, bit for bit."""
 
     def test_criterion_6_paths(self):
-        deltas = sorted({1.0, 0.4, 0.15, 0.05, 0.01, *VARIATION_LONG_MESHES}, reverse=True)
+        deltas = sorted({*CRITERION_6_MESHES, *VARIATION_LONG_MESHES}, reverse=True)
         for seed in range(100):
             assert_qvar_identical(_positive_walk(seed, n_max=60), deltas)
 
@@ -267,6 +282,42 @@ class TestBlockedDP:
         path = generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5))
         gauge = SQRT_TABLE.on_increments
         assert var_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+
+    def test_wide_windows(self):
+        # windows of thousands of samples, where the blocks are budget-limited
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5, seed=1))
+        assert var_dp(path.values, psi) == oracle_dp(path.values, psi)
+        assert_qvar_identical(path, CRITERION_6_MESHES[:2])
+
+    @pytest.mark.parametrize("budget", (4, 64))
+    @settings(max_examples=100, deadline=None)
+    @given(blocked_dp_cases())
+    def test_small_cell_budgets(self, budget, case):
+        path, deltas = case
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(variation, "_DP_CELLS", budget)
+            assert_qvar_identical(path, deltas)
+            for gauge in (psi, SQRT_TABLE.on_increments):
+                assert var_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+
+    def test_blocks_follow_the_cell_budget(self, monkeypatch):
+        budget = 64
+        monkeypatch.setattr(variation, "_DP_CELLS", budget)
+        shapes = []
+
+        def gauge(d):
+            shapes.append(d.shape)
+            return psi(d)
+
+        values = np.exp(np.random.default_rng(7).normal(0.0, 0.3, size=100).cumsum())
+        assert var_dp(values, gauge) == oracle_dp(values, psi)
+        # a block of r rows with window w scores r x (w + r - 1) increments
+        blocks = [(rows, cols - rows + 1) for rows, cols in shapes]
+        assert [w + rows for rows, w in blocks] == unconstrained_block_ends(100, budget)
+        assert any(rows == w > 1 for rows, w in blocks)  # limited by the window
+        assert any(1 < rows < w for rows, w in blocks)  # limited by the budget
+        assert any(rows == 1 and w > budget for rows, w in blocks)  # one row
+        assert all(rows * cols < 2 * budget for rows, cols in shapes if rows > 1)
 
 
 def assert_star_identical(path, gauges):
