@@ -20,7 +20,7 @@ import numpy as np
 from ._version import __version__
 from .errors import CaseFailure, ConfigError, NonFiniteResult, UnknownSeries
 from .mixtures import run_mixture, verify_prop3_bound, volatility_mixture
-from .paths import GeneratorSpec, PricePath, generate
+from .paths import MAX_SAMPLES, GeneratorSpec, PricePath, generate
 from .strategies import (
     AUDIT_STRATEGIES,
     audit_strategy,
@@ -30,6 +30,7 @@ from .strategies import (
     upper_prob_singleton,
 )
 from .variation import (
+    MAX_ORACLE_SAMPLES,
     VariationFunctional,
     brute_force_var_phi,
     check_dp_samples,
@@ -65,9 +66,10 @@ _GENERATOR_FIELDS = set(GeneratorSpec.__dataclass_fields__) - {"seed"}
 _DEFAULT_GENERATOR = {"kind": "exp-fractional", "hurst": 0.5, "sigma": 0.5}
 
 
-def _param(params: dict, key: str, cast, default, minimum=None):
+def _param(params: dict, key: str, cast, default, minimum=None, maximum=None):
     """``params[key]`` (or ``default``) converted by ``cast``, elementwise
-    when ``default`` is a list; :class:`ConfigError` when that fails."""
+    when ``default`` is a list; :class:`ConfigError` when that fails or a
+    scalar lies outside [minimum, maximum]."""
     value = params.get(key, default)
     try:
         if isinstance(default, list):
@@ -80,6 +82,8 @@ def _param(params: dict, key: str, cast, default, minimum=None):
         raise ConfigError(f"params.{key} = {value!r}: {e}") from e
     if minimum is not None and out < minimum:
         raise ConfigError(f"params.{key} must be >= {minimum}, got {value!r}")
+    if maximum is not None and out > maximum:
+        raise ConfigError(f"params.{key} must be <= {maximum}, got {value!r}")
     return out
 
 
@@ -215,6 +219,10 @@ def _walk_path(seed: int, n_max: int = 200, sigma: float = 0.4, quantize: int | 
     return PricePath(path.times, dyadic_round(path.values, quantize))
 
 
+def _max_samples(params: dict, default: int) -> int:
+    return _param(params, "max_samples", int, default, minimum=4, maximum=MAX_SAMPLES)
+
+
 def _small_path(seed: int, n_max: int = 12) -> PricePath:
     rng = np.random.default_rng(np.uint64(seed))
     n = int(rng.integers(3, n_max + 1))
@@ -235,7 +243,9 @@ _ORACLE_GAUGES = tuple(
 
 
 def _case_oracle(seed: int, params: dict) -> dict:
-    path = _small_path(seed, _param(params, "max_samples", int, 12, minimum=3))
+    path = _small_path(
+        seed, _param(params, "max_samples", int, 12, minimum=3, maximum=MAX_ORACLE_SAMPLES)
+    )
     worst = 0.0
     for phi in _ORACLE_GAUGES:
         fast = var_phi(path, phi)
@@ -247,7 +257,7 @@ def _case_oracle(seed: int, params: dict) -> dict:
 
 
 def _case_doob(seed: int, params: dict) -> dict:
-    path = _walk_path(seed, _param(params, "max_samples", int, 200, minimum=4))
+    path = _walk_path(seed, _max_samples(params, 200))
     rng = np.random.default_rng(np.uint64(seed) + 7)
     sup = path.sup
     grid = 2.0**-10
@@ -272,12 +282,12 @@ def _case_prop1(seed: int, params: dict) -> dict:
     L = _param(params, "L", int, 1, minimum=0)
     j_max = _param(params, "j_max", int, 8)
     p = _param(params, "p", float, 2.5)
-    path = _walk_path(seed, _param(params, "max_samples", int, 200, minimum=4), sigma=0.3)
+    phi = VariationFunctional.power(p)
+    mix = volatility_mixture(phi, L, j_policy=j_max, kind="prop1")  # rejects L > 62 first
+    path = _walk_path(seed, _max_samples(params, 200), sigma=0.3)
     # rescale below 2^L
     values = path.values * (2.0**L * 0.8 / max(path.sup, 1e-9))
     path = PricePath(path.times, dyadic_round(values))
-    phi = VariationFunctional.power(p)
-    mix = volatility_mixture(phi, L, j_policy=j_max, kind="prop1")
     s_t = run_mixture(mix, path).final_capital
     rhs = 0.0
     for lv in mix.levels:
@@ -332,7 +342,7 @@ def _case_upper_prob(eps: float, params: dict) -> dict:
 
 
 def _case_borrow(seed: int, params: dict) -> dict:
-    path = _walk_path(seed, _param(params, "max_samples", int, 128, minimum=4), quantize=None)
+    path = _walk_path(seed, _max_samples(params, 128), quantize=None)
     checks = []
     for name in AUDIT_STRATEGIES:
         rep = borrowing_free_check(audit_strategy(name, path), path)

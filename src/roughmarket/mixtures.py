@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     InadmissiblePhi,
     NegativeComponent,
+    TooLarge,
     TruncationUnsafe,
 )
 from .paths import PricePath, discretize
@@ -264,7 +265,9 @@ def _resolve_scale_cut(
         cut = _derive_scale_cut(path_hint)
     if j_policy is not None:
         cut = int(j_policy) if cut is None else min(int(j_policy), cut)
-    cut = max(cut, j_floor)
+    # every class has a level of at least 2^c cells at scale c, so no cut
+    # above the budget's bit length fits the budget
+    cut = max(min(cut, CELL_BUDGET.bit_length()), j_floor)
 
     def n_cells(c: int) -> int:
         return sum(1 << (L + j) for L, j_lo in class_lows for j in range(j_lo, c + 1))
@@ -304,6 +307,8 @@ def volatility_mixture(
                 f"gauge fails the dyadic series probe (tail_trend={report.tail_trend:.3g})"
             )
         L = int(L_max)
+        if L > 62:  # 2^(L+cut) cells overflow int64; the budget keeps L + cut <= 25 if cut > 0
+            raise TooLarge(f"L = {L}: a level of 2^L cells or more overflows int64")
         cut = _resolve_scale_cut(j_policy, path_hint, 0, [(L, 0)])
         js = np.arange(0, cut + 1)
         w_raw = np.asarray(phi(2.0 ** (-js.astype(np.float64)))) * 4.0**js

@@ -12,6 +12,7 @@ this bias is inherent to any finite representation and noted per experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -177,6 +178,8 @@ _REAL_FIELDS = (
 
 def _is_number(x, integral: bool = False) -> bool:
     kinds = (int, np.integer) if integral else (int, float, np.integer, np.floating)
+    if isinstance(x, int) and not integral and abs(x) >= 2**1024:
+        return False  # a JSON integer beyond float64's range
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
@@ -192,7 +195,8 @@ def _check_types(spec: GeneratorSpec) -> None:
             raise BadSpec(f"{name} must hold numbers only")
 
 
-MAX_SAMPLES = 1 << 22  # exp-fractional, the costliest kind: 0.61 GB peak RSS, 13-15 s, 2-vCPU VM
+MAX_SAMPLES = 1 << 22  # exp-fractional, the costliest kind: 0.58 GB peak RSS, 1.8-2.0 s, 2-vCPU VM
+MAX_JUMP_MEAN = 1e18  # numpy's Poisson sampler refuses means above about 9.2e18
 
 
 def _validate_spec(spec: GeneratorSpec) -> None:
@@ -207,66 +211,63 @@ def _validate_spec(spec: GeneratorSpec) -> None:
         raise BadSpec("n_samples must be >= 2")
     if not (0 <= spec.seed < 2**64):
         raise BadSpec("seed must be an unsigned 64-bit integer")
-    if spec.horizon <= 0.0:
-        raise BadSpec("horizon must be positive")
+    if not 0.0 < spec.horizon < math.inf:
+        raise BadSpec("horizon must be positive and finite")
     if spec.kind == "exp-fractional" and not (0.0 < spec.hurst < 1.0):
         raise BadSpec("hurst must lie in (0, 1)")
     if spec.kind in ("geometric-random-walk", "exp-fractional", "jump") and spec.start <= 0.0:
         raise BadSpec("start price must be strictly positive")
-    if spec.kind == "jump" and spec.jump_rate < 0.0:
-        raise BadSpec("jump rate must be >= 0")
+    if spec.kind == "jump":
+        if not (0.0 <= spec.jump_rate < math.inf and 0.0 <= spec.jump_sigma < math.inf):
+            raise BadSpec("jump_rate and jump_sigma must be finite and >= 0")
+        if not spec.jump_rate * spec.horizon / (spec.n_samples - 1) <= MAX_JUMP_MEAN:
+            raise BadSpec(f"more than {MAX_JUMP_MEAN:g} jumps expected per step")
     if spec.kind == "custom-steps" and (spec.values is None or len(spec.values) < 2):
         raise BadSpec("custom-steps requires at least two values")
 
 
 def fractional_gaussian_noise(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """n unit-variance fractional Gaussian noise increments via circulant embedding.
+    """The first n of M unit-variance fractional Gaussian noise increments.
 
-    Falls back to a Cholesky factor of the Toeplitz covariance for n < 256
-    or if the embedding produces materially negative eigenvalues.
+    M is the next power of two >= n, so both FFTs of the exact circulant
+    embedding (Davies & Harte 1987, length 2M) take pocketfft's radix-2
+    passes.  :class:`BadSpec` if the embedding is materially not positive.
     """
-    if n == 1:
-        return rng.standard_normal(1)
-    k = np.arange(n + 1, dtype=np.float64)
+    M = 1 << (n - 1).bit_length()
+    k = np.arange(M + 1, dtype=np.float64)
     two_h = 2.0 * hurst
     g = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
     del k
-    if n >= 256:
-        # Each 2n-point complex buffer (64 MB at 2^22 samples) is freed once
-        # used, and at most two are live.  The first row is built complex,
-        # since fft would otherwise cast a real one to a complex copy.
-        m = 2 * n
-        row = np.zeros(m, dtype=np.complex128)
-        row.real[: n + 1] = g[: n + 1]
-        row.real[n + 1 :] = g[n - 1 : 0 : -1]
-        eig = np.fft.fft(row).real
-        del row
-        if eig.min() >= -1e-8 * max(eig.max(), 1.0):
-            eig = np.clip(eig, 0.0, None)
-            del g
-            v0 = rng.standard_normal()
-            vn = rng.standard_normal()
-            v1 = rng.standard_normal(n - 1)
-            v2 = rng.standard_normal(n - 1)
-            w0 = np.sqrt(eig[0] / m) * v0
-            wn = np.sqrt(eig[n] / m) * vn
-            half = np.sqrt(eig[1:n] / (2.0 * m))
-            del eig
-            body = half * (v1 + 1j * v2)
-            del half, v1, v2
-            w = np.empty(m, dtype=np.complex128)
-            w[0] = w0
-            w[n] = wn
-            w[1:n] = body
-            np.conj(body[::-1], out=w[n + 1 :])
-            del body
-            return np.fft.fft(w).real[:n].copy()  # a view would keep the 2n buffer
-    # dense fallback
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    cov = g[idx]
-    cov[np.diag_indices(n)] = 1.0
-    L = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
-    return L @ rng.standard_normal(n)
+    # Each 2M-point complex buffer (128 MB at 2^22 samples) is freed once
+    # used, and at most two are live.  The first row is built complex,
+    # since fft would otherwise cast a real one to a complex copy.
+    m = 2 * M
+    row = np.zeros(m, dtype=np.complex128)
+    row.real[: M + 1] = g
+    row.real[M + 1 :] = g[M - 1 : 0 : -1]
+    del g
+    eig = np.fft.fft(row).real
+    del row
+    if not eig.min() >= -1e-8 * max(eig.max(), 1.0):
+        raise BadSpec(f"hurst {hurst!r}: the circulant embedding of {M} increments is not positive")
+    eig = np.clip(eig, 0.0, None)
+    v0 = rng.standard_normal()
+    vn = rng.standard_normal()
+    v1 = rng.standard_normal(M - 1)
+    v2 = rng.standard_normal(M - 1)
+    w0 = np.sqrt(eig[0] / m) * v0
+    wn = np.sqrt(eig[M] / m) * vn
+    half = np.sqrt(eig[1:M] / (2.0 * m))
+    del eig
+    body = half * (v1 + 1j * v2)
+    del half, v1, v2
+    w = np.empty(m, dtype=np.complex128)
+    w[0] = w0
+    w[M] = wn
+    w[1:M] = body
+    np.conj(body[::-1], out=w[M + 1 :])
+    del body
+    return np.fft.fft(w).real[:n].copy()  # a view would keep the 2M buffer
 
 
 def generate(spec: GeneratorSpec) -> PricePath:
@@ -281,7 +282,7 @@ def generate(spec: GeneratorSpec) -> PricePath:
             times = np.asarray(spec.times, dtype=np.float64)
         else:
             times = _uniform_times(values.shape[0], T)
-        return make_path(times, values, float(times[-1]))
+        return PricePath(times, values)
 
     n = spec.n_samples
     times = _uniform_times(n, T)

@@ -7,10 +7,13 @@ the input file is missing or ``--out`` cannot be written.
 
 Sizes are drawn small (paths of at most 30 samples, N and n_samples in the
 hundreds) or far past a size guard, so an example that runs is quick and one
-that would not be is rejected before it allocates.
+that would not be is rejected before it allocates.  Generator reals that
+reach numpy's samplers are often NaN, infinite or 1e300, and config params
+often lie past int64 or far above the cell budget.
 """
 
 import json
+import math
 import re
 import signal
 import tempfile
@@ -48,21 +51,24 @@ PRICES = st.one_of(
     st.lists(st.sampled_from(EXTREME_PRICES), min_size=2, max_size=6),
 )
 
-SIZES = st.one_of(
-    st.integers(-2, 300), st.sampled_from([MAX_SAMPLES + 1, 10**12]), st.sampled_from(["abc", 3.5])
-)
+# half the draws are sizes that run, so that the fields after them are checked
+SIZES = st.one_of(st.integers(-2, 300), st.sampled_from([MAX_SAMPLES + 1, 10**12, "abc", 3.5]))
+
+# NaN, infinities and huge reals, past the argument checks of numpy's samplers
+EXTREME_REALS = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300])
+SAMPLER_REALS = ("horizon", "jump_rate", "jump_sigma")
 
 SPEC_FIELDS = {
     "seed": st.one_of(st.integers(-1, 2**64), st.just("x")),
-    "horizon": st.floats(-1.0, 3.0, allow_nan=False),
+    "horizon": st.one_of(st.floats(-1.0, 3.0, allow_nan=False), EXTREME_REALS),
     "level": st.floats(-1.0, 3.0, allow_nan=False),
     "start": st.floats(-1.0, 3.0, allow_nan=False),
     "eps": st.floats(-3.0, 3.0, allow_nan=False),
     "sigma": st.floats(0.0, 2.0, allow_nan=False),
     "drift": st.floats(-2.0, 2.0, allow_nan=False),
     "hurst": st.floats(-0.5, 1.5, allow_nan=False),
-    "jump_rate": st.floats(-1.0, 50.0, allow_nan=False),
-    "jump_sigma": st.floats(0.0, 1.0, allow_nan=False),
+    "jump_rate": st.one_of(st.floats(-1.0, 50.0, allow_nan=False), EXTREME_REALS),
+    "jump_sigma": st.one_of(st.floats(0.0, 1.0, allow_nan=False), EXTREME_REALS),
     "values": st.one_of(st.lists(st.floats(-1.0, 10.0, allow_nan=False), max_size=30), st.just("x")),
     "times": st.lists(st.floats(0.0, 2.0, allow_nan=False), max_size=30),
     "bogus": st.just(1),
@@ -76,11 +82,13 @@ def specs(draw):
         spec["n_samples"] = draw(SIZES)
     for name in draw(st.lists(st.sampled_from(sorted(SPEC_FIELDS)), max_size=4, unique=True)):
         spec[name] = draw(SPEC_FIELDS[name])
+    if draw(st.booleans()):  # the field lists alone seldom reach a sampler with an extreme
+        spec[draw(st.sampled_from(SAMPLER_REALS))] = draw(EXTREME_REALS)
     return spec
 
 
 CONFIG_PARAMS = {
-    "max_samples": st.integers(-1, 12),
+    "max_samples": st.one_of(st.integers(-1, 12), st.sampled_from([2**63, 1e30])),
     "n_samples": st.integers(-1, 200),
     "N": st.one_of(st.lists(st.integers(-1, 128), min_size=1, max_size=3), st.just(64)),
     "eps": st.lists(st.floats(-1.0, 3.0, allow_nan=False), min_size=1, max_size=2),
@@ -89,9 +97,13 @@ CONFIG_PARAMS = {
                    st.floats(-1.0, 4.0, allow_nan=False)),
     "horizon": st.floats(-1.0, 2.0, allow_nan=False),
     "rel_tol": st.floats(0.0, 1.0, allow_nan=False),
-    "j_max": st.integers(-2, 12),
-    "L": st.integers(-1, 2),
+    "j_max": st.one_of(st.integers(-2, 12), st.just(30000)),
+    "L": st.one_of(st.integers(-1, 2), st.sampled_from([63, 1e300])),
 }
+# past int64 (sample counts, cell counts 2^L) or a cut far above the cell budget
+EXTREME_PARAMS = st.sampled_from(
+    [("max_samples", 2**63), ("max_samples", 1e30), ("L", 63), ("L", 1e300), ("j_max", 30000)]
+)
 
 
 @st.composite
@@ -99,10 +111,13 @@ def configs(draw):
     config = {
         "kind": draw(st.sampled_from(EXPERIMENT_KINDS + ("bogus",))),
         "seeds": draw(st.one_of(st.lists(st.integers(0, 3), min_size=1, max_size=2),
-                                st.just([]), st.just(["x"]))),
+                                st.sampled_from([[], ["x"]]))),
     }
     names = draw(st.lists(st.sampled_from(sorted(CONFIG_PARAMS)), max_size=4, unique=True))
     config["params"] = {name: draw(CONFIG_PARAMS[name]) for name in names}
+    if draw(st.booleans()):  # as for specs: the name lists alone seldom draw these
+        name, value = draw(EXTREME_PARAMS)
+        config["params"][name] = value
     if draw(st.booleans()):
         generator = draw(specs())
         generator.pop("seed", None)

@@ -1,4 +1,5 @@
 import json
+import math
 import signal
 import time
 import warnings
@@ -262,8 +263,83 @@ MALFORMED = {
         ["generate"],
         {"kind": "custom-steps", "n_samples": 1, "values": [1.0]},
     ),
+    # an empty times list: its last entry was read as the horizon
+    "spec-custom-steps-no-times": (
+        ["generate"],
+        {"kind": "custom-steps", "n_samples": 2, "values": [1, 2], "times": []},
+    ),
     "spec-n-samples-huge": (["generate"], {"kind": "exp-fractional", "n_samples": 10**10}),
     "spec-n-samples-above-cap": (["generate"], {"kind": "constant", "n_samples": MAX_SAMPLES + 1}),
+    # numpy's Poisson sampler refuses a NaN, infinite or huge mean, and its
+    # normal sampler a negative scale; NaN passes a "horizon <= 0" test
+    "spec-jump-rate-nan": (["generate"], {"kind": "jump", "n_samples": 10, "jump_rate": math.nan}),
+    "spec-jump-rate-inf": (["generate"], {"kind": "jump", "n_samples": 10, "jump_rate": math.inf}),
+    "spec-jump-rate-huge": (["generate"], {"kind": "jump", "n_samples": 10, "jump_rate": 1e300}),
+    "spec-horizon-nan": (["generate"], {"kind": "jump", "n_samples": 10, "horizon": math.nan}),
+    "spec-jump-sigma-negative": (["generate"], {"kind": "jump", "n_samples": 10, "jump_sigma": -1}),
+    # a JSON integer that float64 cannot hold
+    "spec-horizon-integer-huge": (
+        ["generate"],
+        {"kind": "constant", "n_samples": 3, "horizon": 10**400},
+    ),
+    # the embedding's eigenvalues go materially negative; a dense fallback
+    # would ask for a 262144 x 262144 index array
+    "spec-fractional-embedding-not-positive": (
+        ["generate"],
+        {"kind": "exp-fractional", "n_samples": 262145, "hurst": 0.99999},
+    ),
+    "run-growth-generator-jump-rate-inf": (
+        ["run"],
+        {
+            "kind": "growth-profile",
+            "seeds": [1],
+            "params": {"N": [16, 64]},
+            "generator": {"kind": "jump", "jump_rate": math.inf},
+        },
+    ),
+    "run-prop3-generator-horizon-nan": (
+        ["run"],
+        {
+            "kind": "prop3-check",
+            "seeds": [1],
+            "params": {"N": [16]},
+            "generator": {"kind": "jump", "n_samples": 65, "horizon": math.nan},
+        },
+    ),
+    # rng.integers cannot draw a sample count past int64
+    "run-oracle-max-samples-huge": (
+        ["run"],
+        {"kind": "oracle-suite", "seeds": [1], "params": {"max_samples": 1e30}},
+    ),
+    "run-oracle-max-samples-above-oracle-limit": (
+        ["run"],
+        {"kind": "oracle-suite", "seeds": [1], "params": {"max_samples": 17}},
+    ),
+    "run-doob-max-samples-huge": (
+        ["run"],
+        {"kind": "doob-suite", "seeds": [1], "params": {"max_samples": 1e30}},
+    ),
+    "run-prop1-max-samples-huge": (
+        ["run"],
+        {"kind": "prop1-check", "seeds": [1], "params": {"max_samples": 1e30}},
+    ),
+    "run-borrow-max-samples-huge": (
+        ["run"],
+        {"kind": "borrow-audit", "seeds": [1], "params": {"max_samples": 1e30}},
+    ),
+    # 2^63 cells overflow the int64 cell counts; 2.0**1e300 overflows float64
+    "run-prop1-L-63": (["run"], {"kind": "prop1-check", "seeds": [1], "params": {"L": 63}}),
+    "run-prop1-L-huge": (["run"], {"kind": "prop1-check", "seeds": [1], "params": {"L": 1e300}}),
+    # the scale cut stepped down one scale at a time from j_max, summing big
+    # cell counts; the budget's cut then has more bands than band_count allows
+    "run-prop1-j-max-30000": (
+        ["run"],
+        {"kind": "prop1-check", "seeds": [1], "params": {"j_max": 30000}},
+    ),
+    "run-prop1-j-max-huge": (
+        ["run"],
+        {"kind": "prop1-check", "seeds": [1], "params": {"j_max": 1e300}},
+    ),
     "run-eps-negative": (
         ["run"],
         {"kind": "prop3-check", "seeds": [1], "params": {"eps": [-1], "N": [16]}},

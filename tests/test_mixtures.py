@@ -25,6 +25,7 @@ from roughmarket.errors import (
     BoundViolated,
     InadmissiblePhi,
     NegativeComponent,
+    TooLarge,
     TruncationUnsafe,
 )
 from roughmarket import mixtures
@@ -144,6 +145,18 @@ class TestVolatilityMixtureConstruction:
         assert cut == 9  # 2^10 - 1 cells; scale 10 would exceed the budget
         monkeypatch.undo()
         assert volatility_mixture(P25, 0, j_policy=20).scale_cut == 20
+
+    def test_huge_cut_request_meets_the_budget_at_once(self):
+        # the budget of 2^25 cells holds scales 0..24 of class L = 0 and
+        # 0..19 of class L = 5; a cut of 10^300 is clamped before the loop
+        # that steps down one scale at a time
+        assert _resolve_scale_cut(10**300, None, 0, [(0, 0)]) == 24
+        assert _resolve_scale_cut(10**300, None, 0, [(5, 0)]) == 19
+
+    def test_prop1_level_past_int64_rejected(self):
+        with pytest.raises(TooLarge):
+            volatility_mixture(P25, 63, j_policy=4)
+        assert volatility_mixture(P25, 62, j_policy=4).scale_cut == 0
 
     def test_scale_cut_from_path_hint(self):
         mix = volatility_mixture(P25, 0, path_hint=SAW)

@@ -15,6 +15,7 @@ from roughmarket.errors import BadSpec, BadTimeGrid, NonPositiveValue, ParseErro
 from roughmarket.paths import GENERATOR_KINDS, MAX_SAMPLES, _validate_spec
 
 from conftest import step_path
+from fgn_oracle import fgn_covariance, noise_map
 
 
 class TestMakePath:
@@ -103,7 +104,7 @@ class TestGenerate:
             assert p.values.min() > 0.0
 
     def test_exp_fractional_positive_1000_seeds(self):
-        # both the embedding branch (n >= 256) and the dense branch
+        # 299 and 63 increments, each the head of a padded power-of-two embedding
         for n, hurst in ((300, 0.5), (64, 0.3)):
             for seed in range(500):
                 p = generate(
@@ -121,6 +122,14 @@ class TestGenerate:
         assert again == spec
         with pytest.raises(BadSpec):
             GeneratorSpec.from_json('{"kind": "constant", "n_samples": 4, "bogus": 1}')
+
+
+class TestFractionalNoise:
+    @pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 255, 256, 300])
+    def test_covariance_oracle(self, n, hurst):
+        A = noise_map(n, hurst)
+        assert np.abs(A @ A.T - fgn_covariance(n, hurst)).max() <= 1e-10
 
 
 class TestDiscretize:

@@ -409,14 +409,15 @@ class TestBruteForce:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            brute_force_var_phi(step_path(np.ones(21)), VariationFunctional.power(2))
+            brute_force_var_phi(step_path(np.ones(17)), VariationFunctional.power(2))
 
-    def test_plain_loop_branch_matches_cached(self):
-        # 14 samples exercises the uncached enumeration
+    def test_matches_dp_up_to_the_size_limit(self):
+        # past the 13 samples that the suites use, up to the oracle's limit
         rng = np.random.default_rng(5)
-        path = step_path(np.abs(rng.normal(1, 0.5, size=14)))
         phi = VariationFunctional.power(2.5)
-        assert brute_force_var_phi(path, phi) == pytest.approx(var_phi(path, phi), rel=1e-12)
+        for n in (14, 16):
+            path = step_path(np.abs(rng.normal(1, 0.5, size=n)))
+            assert brute_force_var_phi(path, phi) == pytest.approx(var_phi(path, phi), rel=1e-12)
 
 
 class TestVarSigned:
