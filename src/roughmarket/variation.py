@@ -7,11 +7,17 @@ index subsequences therefore computes the true supremum.  For star-shaped
 gauges (phi(u)/u nondecreasing) :func:`var_phi` runs it on the turning points
 with a stack of undominated left ends, near-linear on typical paths, taking
 the points in blocks so that one gauge call scores the stack entries that no
-point of the block removes; :func:`var_dp` is the O(n^2) DP over every
-sample, which the mesh-constrained :func:`qvar_profile` and other gauges use,
-taking right ends in blocks so that one gauge call scores all of a block's
-left ends and one vector max finishes each right end.  Both take at most
-:data:`MAX_DP_SAMPLES` samples.
+point of the block removes.  The mesh-constrained :func:`qvar_profile` runs
+one pass over the right ends for all its mesh bounds at once
+(:func:`_mesh_dp`): the windows are nested, so one gauge call per block
+serves every mesh, and a left end leaves once later samples on both sides of
+its price have arrived.  :func:`var_dp` is the O(n^2) DP over every sample,
+which gauges that are not star-shaped use, and :func:`qvar_profile` on paths
+whose oscillation reaches the range where psi is not monotone in float64; it
+takes right ends in blocks so that one gauge call scores all of a block's
+left ends and one vector max finishes each right end.  All take at most
+:data:`MAX_DP_SAMPLES` samples, and evaluate the gauge with numpy's overflow
+warning off, so an increment whose gauge passes float64 gives ``inf``.
 """
 
 from __future__ import annotations
@@ -181,6 +187,7 @@ def check_dp_samples(n: int) -> None:
 _DP_CELLS = 1 << 13
 
 
+@np.errstate(over="ignore")
 def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None) -> float:
     """Supremum over index chains 0 -> n-1 of the summed gauge of increments.
 
@@ -224,6 +231,95 @@ def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None)
     return float(best[n - 1])
 
 
+# psi is nondecreasing in float64 on [0, 15): it is exactly u*u/2 on
+# [e^-e, 15], as log(log 15) < 1, and below e^-e a nondecreasing numerator
+# over a nonincreasing denominator; above e^e it dips by an ulp at places
+_PSI_MONOTONE_BELOW = 15.0
+_MESH_ROWS = 48  # right ends per block of _mesh_dp; 32-64 measure alike, 16 is 20% slower
+# mesh bounds per _mesh_dp pass: its arrays grow with the bounds it serves
+_MESH_GROUP = 8
+
+
+def _undominated_until(values: np.ndarray) -> np.ndarray:
+    """For each sample j, the index by which a later sample at or below x_j
+    and a later one at or above it have both arrived; n if never.
+
+    Each half is a first passage: the first k > j with x_k <= x_j, and the
+    same on -x.  A table of the minima of x over windows of 2^l samples
+    finds it for every j at once by binary lifting: k starts at j + 1 and
+    jumps over each window, longest first, whose minimum stays above x_j.
+    O(n log n) time and memory.
+    """
+    n = values.shape[0]
+    passage = []
+    for x in (values, -values):
+        mins = [x]  # mins[l][i] = min(x[i : i + 2^l])
+        while 2 ** len(mins) <= n:
+            h = 2 ** (len(mins) - 1)
+            mins.append(np.minimum(mins[-1][:-h], mins[-1][h:]))
+        k = np.arange(1, n + 1)  # x stays above x_j on [j+1, k)
+        for level in reversed(range(len(mins))):
+            m = mins[level]
+            fits = k < m.shape[0]
+            k += 2**level * (fits & (m[np.where(fits, k, 0)] > x))
+        passage.append(k)
+    return np.maximum(*passage)
+
+
+@np.errstate(over="ignore")
+def _mesh_dp(values: np.ndarray, firsts: np.ndarray, until: np.ndarray) -> list[float]:
+    """:func:`var_dp` with gauge :func:`psi` for each row of ``firsts``, in
+    one pass over the right ends; ``until`` is :func:`_undominated_until`.
+
+    The rows of ``firsts`` must be nondecreasing down each column (mesh
+    bounds in decreasing order), and psi nondecreasing in float64 on every
+    increment of ``values`` (oscillation below :data:`_PSI_MONOTONE_BELOW`).
+
+    Dominance: every adjacent step is feasible, so best[j+1] >= best[j] +
+    psi(|x_{j+1} - x_j|) >= best[j] in float64 too, and best is
+    nondecreasing.  Let j < k with x_k <= x_j.  A row i > k whose window
+    holds j holds k, and if x_i >= x_j, k's candidate best[k] + psi(x_i -
+    x_k) is at least j's, as subtraction, psi and addition are all monotone.
+    Mirrored for x_k >= x_j, so j serves no row after until[j], and the
+    candidates that remain give the same max.
+
+    Right ends go in blocks of :data:`_MESH_ROWS`, fewer when meshes times
+    rows times left ends would pass :data:`_DP_CELLS`.  The left ends of a
+    block are those before it that the widest window holds and that serve
+    its first row, and every sample inside it; one that dies inside the
+    block stays a candidate, which changes no max.  One gauge call scores
+    all their pairs with the block's rows, and a (rows x meshes x left
+    ends) array holds each score, or -inf where a left end is outside a
+    mesh's window.  The chain values of the block's own samples start at
+    -inf, which hides each from the rows up to its own.  Each row then
+    takes one add of the meshes' chain values and one max per mesh, and
+    writes its best into its column.  Every finite candidate is the sum the
+    row-at-a-time DP forms, the undominated left ends of each window are
+    among them, and max is exact (no candidate is NaN: chain and gauge
+    values are finite), so each result is bit-identical to :func:`var_dp`'s.
+    """
+    meshes, n = firsts.shape
+    best = np.zeros((meshes, n))
+    s = 1
+    while s < n:
+        lo = firsts[0, s]  # the widest window
+        live = np.flatnonzero(until[lo:s] >= s) + lo
+        nl = live.size
+        rows = max(1, min(_MESH_ROWS, _DP_CELLS // (meshes * (nl + _MESH_ROWS))))
+        e = min(n, s + rows)
+        cols = np.concatenate((live, np.arange(s, e)))
+        g = psi(np.abs(values[s:e, None] - values[cols]))
+        score = np.where(cols >= firsts[:, s:e].T[:, :, None], g[:, None, :], -np.inf)
+        chain = np.full((meshes, cols.size), -np.inf)
+        chain[:, :nl] = best[:, live]
+        cand = np.empty_like(chain)
+        for row, out in zip(score, chain.T[nl:]):
+            np.maximum.reduce(np.add(chain, row, out=cand), axis=1, out=out)
+        best[:, s:e] = chain[:, nl:]
+        s = e
+    return best[:, -1].tolist()
+
+
 def turning_points(values: np.ndarray) -> np.ndarray:
     """Values of the first and last sample and of the strict local extrema
     between them, once plateaus are merged.
@@ -250,6 +346,7 @@ _STAR_CELLS = 1 << 14
 _STAR_MIN_PREFIX = 32  # stable cells below this join the other candidates
 
 
+@np.errstate(over="ignore")
 def _star_dp(y: np.ndarray, gauge: Callable) -> float:
     """The variation DP over alternating turning points ``y``, at least two.
 
@@ -588,6 +685,10 @@ def qvar_profile(path: PricePath, deltas) -> list[QvarPoint]:
     always feasible (approach it from the left); the mesh bound only limits
     skipping over intermediate samples.  Values are non-increasing as delta
     decreases and bounded by the unconstrained psi-variation.
+
+    A path whose oscillation is below :data:`_PSI_MONOTONE_BELOW` runs
+    :func:`_mesh_dp` on up to :data:`_MESH_GROUP` bounds per pass; others
+    run :func:`var_dp` once per bound.  The results are the same.
     """
     deltas = [float(d) for d in deltas]
     if not all(d > 0.0 for d in deltas):  # NaN too; inf means unconstrained
@@ -595,17 +696,25 @@ def qvar_profile(path: PricePath, deltas) -> list[QvarPoint]:
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise BadStep("mesh bounds must be strictly decreasing")
     times = path.times
+    values = path.values
     min_gap = float(np.diff(times).min())
-    out = []
-    for d in deltas:
+
+    def firsts(bounds):
         # a step j -> i is feasible iff a partition with mesh < d can evaluate
         # the path at consecutive points carrying x_j then x_i: landing
         # anywhere in block j and leaving just before times[j+1], that is
         # times[i] - times[j+1] < d; adjacent blocks always qualify
-        first = np.searchsorted(times[1:], times - d, side="right")
-        value = var_dp(path.values, psi, first)
-        out.append(QvarPoint(delta=d, value=value, degenerate=d <= min_gap))
-    return out
+        return np.searchsorted(times[1:], times - np.array(bounds)[:, None], side="right")
+
+    if deltas and values.max() - values.min() < _PSI_MONOTONE_BELOW:
+        check_dp_samples(values.shape[0])
+        until = _undominated_until(values)
+        out = []
+        for k in range(0, len(deltas), _MESH_GROUP):
+            out += _mesh_dp(values, firsts(deltas[k : k + _MESH_GROUP]), until)
+    else:
+        out = [var_dp(values, psi, firsts([d])[0]) for d in deltas]
+    return [QvarPoint(delta=d, value=v, degenerate=d <= min_gap) for d, v in zip(deltas, out)]
 
 
 def variation_growth_profile(path: PricePath, p_grid, N_grid) -> dict:

@@ -1,4 +1,6 @@
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,15 @@ from roughmarket import (
 from roughmarket import variation
 from roughmarket.errors import BadStep, TooLarge
 from roughmarket.paths import discretize
-from roughmarket.variation import _DP_CELLS, _STAR_ROWS, MAX_DP_SAMPLES, turning_points, var_dp
+from roughmarket.variation import (
+    _DP_CELLS,
+    _MESH_ROWS,
+    _PSI_MONOTONE_BELOW,
+    _STAR_ROWS,
+    MAX_DP_SAMPLES,
+    turning_points,
+    var_dp,
+)
 
 from conftest import random_positive_path, step_path
 from dp_oracle import var_dp as oracle_dp
@@ -85,6 +95,13 @@ class TestVarPhi:
         grid = [1.0, 1.5, 2.0, 2.5, 3.0]
         out = [var_p(path, p) for p in grid]
         assert all(b <= a + 1e-12 for a, b in zip(out, out[1:]))
+
+    def test_gauge_overflow_gives_inf_without_a_warning(self):
+        # a numpy RuntimeWarning that leaks fails the test (pyproject filter)
+        path = step_path([1.0, 1e300, 0.0])
+        for phi in (VariationFunctional.taylor_psi(), VariationFunctional.power(2.5)):
+            assert var_phi(path, phi) == math.inf
+        assert [pt.value for pt in qvar_profile(path, [math.inf, 0.1])] == [math.inf, math.inf]
 
     def test_dp_size_guard(self):
         # raised before the O(n^2) loop runs or the grid is discretized
@@ -197,10 +214,10 @@ class TestTurningPointReduction:
 
 
 def oracle_qvar(path, deltas):
-    """``qvar_profile`` values with the row-at-a-time DP of ``dp_oracle``."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(variation, "var_dp", oracle_dp)
-        return [pt.value for pt in qvar_profile(path, deltas)]
+    """``qvar_profile`` values from the row-at-a-time DP of ``dp_oracle``,
+    one mesh bound at a time."""
+    t = path.times
+    return [oracle_dp(path.values, psi, np.searchsorted(t[1:], t - d, side="right")) for d in deltas]
 
 
 def assert_qvar_identical(path, deltas):
@@ -222,15 +239,20 @@ def unconstrained_block_ends(n_max, cells=_DP_CELLS):
     return ends
 
 
-# powers of two up to the square root of the budget, then steps of cells // s
-BLOCK_EDGE_SIZES = sorted({e + d for e in unconstrained_block_ends(200) for d in (-1, 0, 1)} - {1})
+# var_dp's: powers of two up to the square root of the budget, then steps of
+# cells // s; the mesh DP's: multiples of its rows
+BLOCK_EDGE_SIZES = sorted(
+    ({e + d for e in unconstrained_block_ends(200) for d in (-1, 0, 1)} - {1})
+    | {k * _MESH_ROWS + d for k in range(1, 7) for d in (0, 1, 2)}
+)
 
 
 @st.composite
 def blocked_dp_cases(draw):
-    """(path, strictly decreasing mesh bounds): sample counts on both sides
-    of each block edge, irregular times so that first[] jumps inside a block,
-    plateaus and constant paths, and meshes from inf to below the finest gap."""
+    """(path, 1-6 strictly decreasing mesh bounds): sample counts on both
+    sides of each block edge, irregular times so that first[] jumps inside a
+    block, plateaus and constant paths, oscillations on both sides of
+    ``_PSI_MONOTONE_BELOW``, and meshes from inf to below the finest gap."""
     n = draw(st.one_of(st.sampled_from(BLOCK_EDGE_SIZES), st.integers(2, 200)))
     shape = draw(st.sampled_from(["walk", "levels", "constant"]))
     if shape == "walk":
@@ -240,18 +262,22 @@ def blocked_dp_cases(draw):
         values = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float) / 8.0
     else:
         values = np.full(n, draw(st.floats(0.0, 10.0, allow_nan=False)))
+    values = values * draw(st.sampled_from([1.0, 1.0, 2.0**-7, 30.0, 100.0]))
     gaps = draw(st.lists(st.sampled_from([1.0, 1.0, 0.1, 0.37, 6.0]), min_size=n - 1, max_size=n - 1))
     times = np.concatenate([[0.0], np.cumsum(gaps)])
     path = PricePath(times / times[-1], values)
     min_gap = float(np.diff(path.times).min())
     fractions = draw(st.lists(st.floats(1e-3, 1.0, allow_nan=False), max_size=4))
-    deltas = {math.inf, 0.5 * min_gap} | set(fractions)
+    pool = sorted({math.inf, 0.5 * min_gap} | set(fractions), reverse=True)
+    deltas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
     return path, sorted(deltas, reverse=True)
 
 
 class TestBlockedDP:
-    """``var_dp`` runs right ends in blocks; it must give what the
-    row-at-a-time DP of ``dp_oracle`` gives, bit for bit."""
+    """``var_dp`` runs right ends in blocks, and ``qvar_profile`` runs all
+    its meshes in one pass (``_mesh_dp``) below ``_PSI_MONOTONE_BELOW`` and
+    ``var_dp`` per mesh above; both must give what the row-at-a-time DP of
+    ``dp_oracle`` gives, bit for bit."""
 
     def test_criterion_6_paths(self):
         deltas = sorted({*CRITERION_6_MESHES, *VARIATION_LONG_MESHES}, reverse=True)
@@ -318,6 +344,95 @@ class TestBlockedDP:
         assert any(1 < rows < w for rows, w in blocks)  # limited by the budget
         assert any(rows == 1 and w > budget for rows, w in blocks)  # one row
         assert all(rows * cols < 2 * budget for rows, cols in shapes if rows > 1)
+
+
+def floats_around(x, ulps):
+    """Every float64 within ``ulps`` units in the last place of ``x`` > 0, in order."""
+    return (np.float64(x).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+
+
+class TestMeshDP:
+    """``_mesh_dp`` drops the left ends that later samples dominate, which is
+    exact where psi is nondecreasing in float64; ``qvar_profile`` takes it
+    only below ``_PSI_MONOTONE_BELOW`` and groups the mesh bounds."""
+
+    def test_psi_nondecreasing_below_the_guard(self):
+        rng = np.random.default_rng(13)
+        u = np.exp(rng.uniform(math.log(1e-300), math.log(_PSI_MONOTONE_BELOW), size=2_000_000))
+        u = u[u < _PSI_MONOTONE_BELOW]
+        assert np.all(psi(np.nextafter(u, math.inf)) >= psi(u))
+        u = np.concatenate([[0.0, math.ulp(0.0), 1e-310], np.sort(u)])
+        assert np.all(np.diff(psi(u)) >= 0.0)
+        # the joins of psi's pieces: e^-e, and the guard itself
+        for x in (math.exp(-math.e), _PSI_MONOTONE_BELOW):
+            assert np.all(np.diff(psi(floats_around(x, 200_000))) >= 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(reduction_paths(200), edge_paths(200)))
+    def test_undominated_until_scans(self, path):
+        x = path.values.tolist()
+        n = len(x)
+
+        def passage(j, hit):
+            return next((k for k in range(j + 1, n) if hit(x[k], x[j])), n)
+
+        expect = [max(passage(j, operator.le), passage(j, operator.ge)) for j in range(n)]
+        assert variation._undominated_until(path.values).tolist() == expect
+
+    def test_oscillation_picks_the_kernel(self, monkeypatch):
+        calls = []
+
+        def counted(values, gauge, first):
+            calls.append(first)
+            return oracle_dp(values, gauge, first)
+
+        monkeypatch.setattr(variation, "var_dp", counted)
+        meshes = [math.inf, 0.4, 0.1]
+        below = np.nextafter(_PSI_MONOTONE_BELOW, 0.0)
+        for top, per_mesh in ((below, False), (_PSI_MONOTONE_BELOW, True), (1e6, True)):
+            path = step_path([0.0, top, 0.25 * top, 0.75 * top, 0.5 * top, 0.0])
+            calls.clear()
+            assert [pt.value for pt in qvar_profile(path, meshes)] == oracle_qvar(path, meshes)
+            assert len(calls) == (len(meshes) if per_mesh else 0)
+
+    def test_meshes_go_in_groups(self, monkeypatch):
+        mesh_dp = variation._mesh_dp
+        passes = []
+
+        def counted(values, firsts, until):
+            passes.append(firsts.shape[0])
+            return mesh_dp(values, firsts, until)
+
+        monkeypatch.setattr(variation, "_mesh_dp", counted)
+        monkeypatch.setattr(variation, "_MESH_GROUP", 2)
+        path = _positive_walk(3, n_max=60)
+        assert_qvar_identical(path, CRITERION_6_MESHES)
+        assert passes == [2, 2, 1]
+
+    @pytest.mark.parametrize("rows, group", [(1, 1), (2, 3), (7, 2)])
+    @settings(max_examples=60, deadline=None)
+    @given(blocked_dp_cases())
+    def test_small_blocks_and_groups(self, rows, group, case):
+        path, deltas = case
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(variation, "_MESH_ROWS", rows)
+            m.setattr(variation, "_MESH_GROUP", group)
+            assert_qvar_identical(path, deltas)
+
+    def test_memory_flat_in_the_number_of_meshes(self):
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=1025, hurst=0.5, sigma=0.5, seed=3))
+        assert np.ptp(path.values) < _PSI_MONOTONE_BELOW
+
+        def peak(deltas):
+            tracemalloc.start()
+            try:
+                qvar_profile(path, deltas)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few = peak(VARIATION_LONG_MESHES)
+        assert peak(np.geomspace(1.0, 1e-4, 300)) <= 3 * few
 
 
 def assert_star_identical(path, gauges):
