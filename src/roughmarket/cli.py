@@ -7,6 +7,7 @@ doob / prop3 / upper-prob / borrow-check / unbounded : strategy runs emitting JS
 generate : write a path file from a generator spec
 run : execute a config-driven experiment suite
 emit-plot : extract a two-column series from a report
+info : versions and platform, as JSON
 
 Only the log verbosity is read from the environment (ROUGHMARKET_LOG).
 Exit codes: 0 pass, 1 a check or case failed, 2 bad input or an unusable file.
@@ -19,6 +20,7 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -160,6 +162,7 @@ def _cmd_prop3(args) -> int:
             "bound_rhs": rep.rhs,
             "margin": rep.margin,
             "scale_cut": rep.scale_cut,
+            "binding": rep.binding,
             "pass": rep.passed,
         },
         args.out,
@@ -235,6 +238,19 @@ def _cmd_emit_plot(args) -> int:
     except (ValueError, KeyError, TypeError) as e:
         raise ParseError(f"{args.report} is not a run report: {e!r}") from e
     _emit(csv, args.out)
+    return 0
+
+
+def _cmd_info(args) -> int:
+    _json_out(
+        {
+            "roughmarket": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+        None,
+    )
     return 0
 
 
@@ -317,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_emit_plot)
+
+    p = sub.add_parser("info", help="versions of roughmarket, numpy and Python, and the platform")
+    p.set_defaults(fn=_cmd_info)
 
     return parser
 

@@ -415,6 +415,12 @@ class Prop3Report:
     passed: bool
     scale_cut: int
 
+    @property
+    def binding(self) -> bool:
+        """Whether the bound is above 0, so a pass says more than that the
+        capital stayed above -1/4 (needs at least 257 price moves)."""
+        return self.rhs > 0.0
+
 
 def verify_prop3_bound(
     path: PricePath,

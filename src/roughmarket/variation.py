@@ -18,6 +18,13 @@ takes right ends in blocks so that one gauge call scores all of a block's
 left ends and one vector max finishes each right end.  All take at most
 :data:`MAX_DP_SAMPLES` samples, and evaluate the gauge with numpy's overflow
 warning off, so an increment whose gauge passes float64 gives ``inf``.
+
+Prices are step paths, so plateaus are the normal case.  As every gauge has
+phi(0) = 0, a sample equal to its predecessor has the same best chain value,
+and a run of equal samples offers one candidate, live while its last sample
+is in the window (:func:`_level_heads`).  So :func:`qvar_profile` and the
+:func:`var_dp` branch of :func:`var_phi` keep one row per price level, with
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -320,6 +327,21 @@ def _mesh_dp(values: np.ndarray, firsts: np.ndarray, until: np.ndarray) -> list[
     return best[:, -1].tolist()
 
 
+def _level_heads(values: np.ndarray) -> np.ndarray:
+    """Index of the first sample of each maximal run of equal samples.
+
+    A step path that keeps only these samples, at their times, is the same
+    right-continuous function, with one step per price level.  The DP over
+    every sample gives it the same value when phi(0) = 0: if x_i = x_{i-1},
+    every candidate of row i other than i-1 is a candidate of row i-1 with
+    the same float value (the windows are nested), and i-1's is best[i-1] +
+    phi(0) = best[i-1], so best[i] = best[i-1].  The samples of a run then
+    carry one chain value and one price, so the run offers one candidate,
+    which a mesh window holds iff it holds the run's last sample.
+    """
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
 def turning_points(values: np.ndarray) -> np.ndarray:
     """Values of the first and last sample and of the strict local extrema
     between them, once plateaus are merged.
@@ -476,14 +498,15 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     points go in blocks (see :func:`_star_dp`): the entries that stay on a
     stack through a whole block are valid left ends for every point of the
     block that reads it, and one gauge call scores them all.  Other gauges
-    take the O(n^2) :func:`var_dp` over every sample.
+    take the O(n^2) :func:`var_dp` with one row per run of equal prices
+    (:func:`_level_heads`), bit-identical to the DP over every sample.
     """
     if phi.kind == "power" and phi.p <= 1.0:
         d = np.abs(np.diff(path.values))
         return _fsum_nonneg(d**phi.p)
-    if not phi.star_shaped:
-        return var_dp(path.values, phi.on_increments)
     check_dp_samples(path.values.shape[0])
+    if not phi.star_shaped:
+        return var_dp(path.values[_level_heads(path.values)], phi.on_increments)
     return _star_dp(turning_points(path.values), phi.on_increments)
 
 
@@ -684,30 +707,37 @@ def qvar_profile(path: PricePath, deltas) -> list[QvarPoint]:
     Partition points range over all of [0, T], so capturing one jump is
     always feasible (approach it from the left); the mesh bound only limits
     skipping over intermediate samples.  Values are non-increasing as delta
-    decreases and bounded by the unconstrained psi-variation.
+    decreases and bounded by the unconstrained psi-variation; every bound at
+    or below the finest time gap allows adjacent steps only.
 
-    A path whose oscillation is below :data:`_PSI_MONOTONE_BELOW` runs
-    :func:`_mesh_dp` on up to :data:`_MESH_GROUP` bounds per pass; others
-    run :func:`var_dp` once per bound.  The results are the same.
+    The DP runs on one sample per price level, the first of each run of
+    equal prices (:func:`_level_heads`), at its time: the same step function,
+    so the windows come from the same formula.  A path whose oscillation is
+    below :data:`_PSI_MONOTONE_BELOW` runs :func:`_mesh_dp` on up to
+    :data:`_MESH_GROUP` bounds per pass; others run :func:`var_dp` once per
+    bound.  The results are bit-identical to the DP over every sample.
     """
     deltas = [float(d) for d in deltas]
     if not all(d > 0.0 for d in deltas):  # NaN too; inf means unconstrained
         raise BadStep("all mesh bounds must be > 0")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise BadStep("mesh bounds must be strictly decreasing")
-    times = path.times
-    values = path.values
-    min_gap = float(np.diff(times).min())
+    check_dp_samples(path.n_samples)
+    min_gap = float(np.diff(path.times).min())
+    heads = _level_heads(path.values)
+    times = path.times[heads]
+    values = path.values[heads]
 
     def firsts(bounds):
         # a step j -> i is feasible iff a partition with mesh < d can evaluate
         # the path at consecutive points carrying x_j then x_i: landing
         # anywhere in block j and leaving just before times[j+1], that is
-        # times[i] - times[j+1] < d; adjacent blocks always qualify
-        return np.searchsorted(times[1:], times - np.array(bounds)[:, None], side="right")
+        # times[i] - times[j+1] < d; adjacent blocks always qualify, also
+        # when times[i] - d rounds to times[i]
+        first = np.searchsorted(times[1:], times - np.array(bounds)[:, None], side="right")
+        return np.minimum(first, np.arange(times.shape[0]) - 1)
 
     if deltas and values.max() - values.min() < _PSI_MONOTONE_BELOW:
-        check_dp_samples(values.shape[0])
         until = _undominated_until(values)
         out = []
         for k in range(0, len(deltas), _MESH_GROUP):

@@ -1,24 +1,30 @@
 import json
 import math
+import platform
 import signal
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from roughmarket import (
     ExperimentConfig,
+    __version__,
     GeneratorSpec,
     emit_plot_data,
     generate,
+    psi,
     run_experiment,
     write_path,
     write_report,
 )
 from roughmarket.cli import main
 from roughmarket.errors import CaseFailure, ConfigError, UnknownSeries
-from roughmarket.experiments import report_canonical_bytes
+from roughmarket.experiments import canonical_json, report_canonical_bytes
 from roughmarket.paths import MAX_SAMPLES
+
+from conftest import step_path
 
 
 class TestConfig:
@@ -182,6 +188,36 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"] is True
+        assert payload["binding"] is (payload["bound_rhs"] > 0.0) is False
+
+    def test_prop3_binding(self, tmp_path, capsys):
+        # a 0/1 sawtooth with 512 periods: 1024 moves, enough for rhs > 0
+        f = tmp_path / "saw.csv"
+        write_path(step_path([0.0, 1.0] * 512 + [0.0]), f)
+        assert main(["prop3", "--path", str(f), "--eps", "0.5", "--delta", "0.5", "--N", "1024"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["binding"] is True
+        assert payload["ST"] > payload["bound_rhs"] > 0.0
+
+    def test_qvar_bounds_below_the_finest_gap(self, tmp_path, capsys):
+        # 1e-300 leaves times - d == times; on 1, 1, 20 the per-bound DP divided by zero
+        for top in (2.0, 20.0):
+            f = tmp_path / "levels.csv"
+            write_path(step_path([1.0, 1.0, top]), f)
+            assert main(["qvar", "--path", str(f), "--deltas", "1,0.5,1e-300"]) == 0
+            rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+            assert [d for d, _ in rows] == ["1.0", "0.5", "1e-300"]
+            assert rows[1][1] == rows[2][1] == repr(psi(top - 1.0))
+
+    def test_info(self, capsys):
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert sorted(payload) == ["numpy", "platform", "python", "roughmarket"]
+        assert payload["roughmarket"] == __version__
+        assert payload["numpy"] == np.__version__
+        assert payload["python"] == platform.python_version()
+        assert out == canonical_json(payload) + "\n"
 
     def test_upper_prob(self, sample_csv, capsys):
         assert main(["upper-prob", "--path", str(sample_csv)]) == 0

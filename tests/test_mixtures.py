@@ -292,6 +292,7 @@ class TestProp3Bound:
         rep = verify_prop3_bound(path, 1.0, 1.0, 2)
         assert rep.passed
         assert rep.rhs == pytest.approx(-0.25)
+        assert rep.binding is False
         assert rep.s_t == pytest.approx(rep.s0, rel=1e-12)
 
     def test_sawtooth_regression(self):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roughmarket import (
@@ -13,6 +13,7 @@ from roughmarket import (
     VariationFunctional,
     brute_force_var_phi,
     generate,
+    make_path,
     phi_admissible,
     psi,
     qvar_profile,
@@ -215,9 +216,15 @@ class TestTurningPointReduction:
 
 def oracle_qvar(path, deltas):
     """``qvar_profile`` values from the row-at-a-time DP of ``dp_oracle``,
-    one mesh bound at a time."""
+    one mesh bound at a time, over every sample.  Adjacent steps are always
+    feasible, also when a bound below half an ulp of the times leaves
+    ``t - d == t``, so ``first[i]`` is at most ``i - 1``."""
     t = path.times
-    return [oracle_dp(path.values, psi, np.searchsorted(t[1:], t - d, side="right")) for d in deltas]
+    adjacent = np.arange(t.shape[0]) - 1
+    return [
+        oracle_dp(path.values, psi, np.minimum(np.searchsorted(t[1:], t - d, side="right"), adjacent))
+        for d in deltas
+    ]
 
 
 def assert_qvar_identical(path, deltas):
@@ -433,6 +440,104 @@ class TestMeshDP:
 
         few = peak(VARIATION_LONG_MESHES)
         assert peak(np.geomspace(1.0, 1e-4, 300)) <= 3 * few
+
+
+LEVEL_SCALES = (2.0**-7, 1.0 / 3.0, 2.0, 3.0, 40.0)  # oscillation 6 x scale: both sides of 15
+
+
+@st.composite
+def plateau_cases(draw):
+    """(path, 1-6 strictly decreasing mesh bounds): a step path whose levels
+    each repeat 1-6 times, on irregular times, with oscillation on both
+    sides of ``_PSI_MONOTONE_BELOW``, and bounds from inf to the finest gap
+    and below it, down to bounds that leave ``t - d == t``."""
+    k = draw(st.integers(1, 60))
+    levels = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    repeats = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    values = np.repeat(levels, repeats) * draw(st.sampled_from(LEVEL_SCALES))
+    assume(values.size >= 2)
+    gaps = draw(st.lists(st.sampled_from([1.0, 0.1, 0.37, 6.0]), min_size=values.size - 1, max_size=values.size - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    path = PricePath(times / times[-1], values)
+    min_gap = float(np.diff(path.times).min())
+    fractions = draw(st.lists(st.floats(1e-3, 1.0, allow_nan=False), max_size=3))
+    pool = sorted({math.inf, min_gap, 0.5 * min_gap, 5e-17, 1e-300} | set(fractions), reverse=True)
+    deltas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    return path, sorted(deltas, reverse=True)
+
+
+class TestLevelRuns:
+    """``qvar_profile`` and the full-DP branch of ``var_phi`` keep one DP row
+    per run of equal prices; they must give what the row-at-a-time DP of
+    ``dp_oracle`` gives on every sample, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(plateau_cases())
+    def test_qvar_matches_the_sample_dp(self, case):
+        path, deltas = case
+        assert_qvar_identical(path, deltas)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plateau_cases())
+    def test_sqrt_table_matches_the_sample_dp(self, case):
+        path, _ = case
+        gauge = SQRT_TABLE.on_increments
+        assert var_phi(path, SQRT_TABLE) == oracle_dp(path.values, gauge)
+
+    def test_constant_path(self):
+        path = step_path(np.full(50, 2.5))
+        deltas = [math.inf, 0.1, 1e-300]
+        assert [pt.value for pt in qvar_profile(path, deltas)] == oracle_qvar(path, deltas) == [0.0] * 3
+        assert var_phi(path, SQRT_TABLE) == oracle_dp(path.values, SQRT_TABLE.on_increments) == 0.0
+
+    @pytest.mark.parametrize("scale", (1.0, 20.0))  # _mesh_dp, then var_dp per bound
+    def test_bounds_below_the_finest_gap(self, scale):
+        # 5e-17 and less leave times - d == times, which gave -inf (_mesh_dp)
+        # or a ZeroDivisionError (var_dp) when adjacent steps were not kept
+        path = PricePath(np.array([0.0, 0.25, 0.5, 0.9, 1.0]), scale * np.array([1.0, 1.0, 0.5, 0.5, 0.75]))
+        min_gap = float(np.diff(path.times).min())
+        deltas = [min_gap, 0.5 * min_gap, 5e-17, 1e-300, math.ulp(0.0)]
+        values = [pt.value for pt in qvar_profile(path, deltas)]
+        assert math.isfinite(values[0])
+        assert values == [values[0]] * len(deltas) == oracle_qvar(path, deltas)
+        bug = qvar_profile(make_path([0.0, 0.5, 1.0], [1.0, 1.0, 2.0 * scale], 1.0), [5e-17])
+        assert bug[0].value == psi(2.0 * scale - 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plateau_cases())
+    def test_every_bound_at_most_the_finest_gap_allows_adjacent_steps_only(self, case):
+        path, deltas = case
+        min_gap = float(np.diff(path.times).min())
+        tight = [d for d in deltas if d <= min_gap]
+        adjacent = 0.0
+        for u in psi(np.abs(np.diff(path.values))).tolist():
+            adjacent += u
+        assert [pt.value for pt in qvar_profile(path, tight)] == [adjacent] * len(tight)
+
+    def test_one_row_per_level_run(self, monkeypatch):
+        rows = []
+        mesh_dp, full_dp = variation._mesh_dp, variation.var_dp
+
+        def mesh_rows(values, firsts, until):
+            rows.append(values.shape[0])
+            return mesh_dp(values, firsts, until)
+
+        def full_rows(values, gauge, first=None):
+            rows.append(values.shape[0])
+            return full_dp(values, gauge, first)
+
+        monkeypatch.setattr(variation, "_mesh_dp", mesh_rows)
+        monkeypatch.setattr(variation, "var_dp", full_rows)
+        levels = [1.0, 1.0, 1.0, 3.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 1.0]
+        for scale, per_bound in ((1.0, False), (20.0, True)):
+            path = step_path(scale * np.array(levels))
+            rows.clear()
+            assert_qvar_identical(path, [math.inf, 0.3, 0.1])
+            assert rows == [5] * (3 if per_bound else 1)
+        rows.clear()
+        path = generate(GeneratorSpec(kind="jump", n_samples=4097, jump_rate=300.0, jump_sigma=0.05, seed=5))
+        assert var_phi(path, SQRT_TABLE) == oracle_dp(path.values, SQRT_TABLE.on_increments)
+        assert rows == [1 + np.count_nonzero(np.diff(path.values))] and rows[0] < 400
 
 
 def assert_star_identical(path, gauges):
