@@ -5,8 +5,10 @@ Two representations:
 * :class:`StrategyMixture` holds explicit (weight, strategy) components and
   is executed component by component.
 * :class:`GridStrategyMixture` describes dyadic families of buy-low/sell-high
-  band strategies; the closed-form grid kernel :func:`doob_grid_held` counts
-  the held cells of all levels that share a scale in one pass over the path.
+  band strategies.  One closed-form grid kernel counts the held cells of
+  every level from the lowest held cell of each scale, all scales in one
+  blocked pass over the path; :func:`run_mixture` sums the counts in one
+  weighted pass and :func:`doob_grid_held` reads them for one scale.
 
 A weighted sum of self-financing strategies is the self-financing strategy
 holding the weighted sum of the positions: :func:`run_mixture` forms its one
@@ -121,15 +123,72 @@ class GridLevel:
 # later sample >= (k+1)*h, and repeats.  With q = x / h (exact) the cells
 # obey, after every sample x:
 #
-#   cells with k >= ceil(q) hold and cells with k < floor(q) are flat; at
-#   most one cell, c = floor(q), lies strictly inside its band, and it holds
-#   iff the last sample outside the open band (c, c+1) was <= c (flat if
-#   every sample since t = 0 stayed inside).
+#   every cell k >= e holds and every cell k < e is flat, where
+#   e = ceil(q) - [the straddled cell holds].  Only a non-integer q has a
+#   straddled cell, c = floor(q), strictly inside its band; it holds iff the
+#   last sample outside the open band (c, c+1) was <= c (flat if every sample
+#   since t = 0 stayed inside).
 #
-# So the held count of cells 0..k_cap-1 is a clip of k_cap - ceil(q) plus a
-# flag carried forward over runs of samples inside one band: O(n) per scale
-# for q and the runs, plus O(n) per cell count for its clip.  The cells'
-# cash is `GridLevel.initial_capital`; `run_mixture` forms the capital.
+# So the held count of cells 0..k_cap-1 is max(k_cap - e, 0).  A run of
+# samples inside one band shares the flag of its head, the sample that
+# entered the band; a max-accumulate of the key 2t + 2 + [entered from
+# below], set at heads and 0 elsewhere, carries it in its low bit.  One pass computes e for every scale
+# at once, as a (scales x samples) array, and one the counts of every level,
+# as a (levels x samples) array.  The counts are integers, exact in float64
+# below 2^53; above it k_cap - e is rounded once.  Column blocks keep each
+# temporary under the 128 KiB at which glibc's malloc maps fresh pages for
+# it (with 2^16-count blocks a 1025-sample mixture page-faulted ~270 times a
+# call); the open run's flag crosses a block edge in the accumulator's last
+# column.  The cells' cash is `GridLevel.initial_capital`; `run_mixture`
+# forms the capital.
+
+_BLOCK_CELLS = 12 << 10  # counts per column block: 96 KiB per float64 temporary
+
+
+def _grid_held(values: np.ndarray, scale_exps, k_caps) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Held-unit counts of dyadic cell grids, one column block at a time.
+
+    Row ``i`` counts the cells ``k = 0..k_caps[i]-1`` at scale
+    ``2**-scale_exps[i]`` that hold one unit.  Yields ``(a, b, held)`` with
+    ``held[i, t - a]`` (float64) after sample ``t`` for ``a <= t < b``; a
+    block has at least two samples unless ``values`` has one.
+    """
+    rank = {}
+    row = np.array([rank.setdefault(j, len(rank)) for j in scale_exps], dtype=np.intp)
+    js = np.array(list(rank), dtype=np.int32).reshape(-1, 1)  # np.ldexp has no fast int64 loop
+    caps = np.asarray(k_caps, dtype=np.float64).reshape(-1, 1)
+    n = values.shape[0]
+    width = max(2, _BLOCK_CELLS // max(1, caps.shape[0]))
+    edges = list(range(0, n, width))
+    if len(edges) > 1 and n - edges[-1] == 1:
+        edges.pop()  # a one-sample block would make np.add.reduce sum pairwise
+    edges.append(n)
+    # x[t + 1] is sample t; +inf before t = 0 heads a run of its own.  A price
+    # below 0 sits below every cell, as 0 does.
+    x = np.concatenate(([np.inf], values))
+    np.maximum(x, 0.0, out=x)
+    steps = np.arange(2, 2 * width + 4, 2, dtype=np.int32)
+    carry = 0
+    for a, b in zip(edges, edges[1:]):
+        q = np.ldexp(x[a : b + 1], js)  # one sample before the block
+        lo = np.floor(q)
+        hi = np.ceil(q)
+        mid = lo + hi  # 2c + 1 inside the band (c, c+1), 2q on a band edge
+        # a run head is a sample whose band differs from its predecessor's;
+        # it enters low if that sample was at or below its band
+        head = mid[:, 1:] != mid[:, :-1]
+        low = (mid[:, :-1] < mid[:, 1:]) & (lo[:, 1:] < hi[:, 1:])
+        key = steps[: b - a] + low
+        key *= head
+        np.maximum(key[:, 0], carry, out=key[:, 0])
+        np.maximum.accumulate(key, axis=1, out=key)
+        np.bitwise_and(key, 1, out=key)
+        carry = key[:, -1]
+        e = np.subtract(hi[:, 1:], key)  # the lowest held cell
+        held = e[row]
+        np.subtract(caps, held, out=held)
+        np.maximum(held, 0.0, out=held)
+        yield a, b, held
 
 
 def doob_grid_held(values: np.ndarray, j_exp: int, k_caps) -> np.ndarray:
@@ -139,20 +198,11 @@ def doob_grid_held(values: np.ndarray, j_exp: int, k_caps) -> np.ndarray:
     negative); row ``i`` holds, after every sample, the number of cells
     ``k = 0..k_caps[i]-1`` that hold one unit.
     """
-    caps = np.asarray(k_caps, dtype=np.int64).reshape(-1, 1)
-    q = np.ldexp(values, j_exp)
-    lo = np.floor(q)
-    hi = np.ceil(q)
-    inside = lo < hi
-    # a run of samples strictly inside one band starts where the previous
-    # sample is outside it; the straddled cell holds iff that sample was <= c
-    start = inside.copy()
-    start[1:] &= ~(inside[:-1] & (lo[1:] == lo[:-1]))
-    entered_low = np.zeros_like(inside)
-    entered_low[1:] = q[:-1] <= lo[1:]
-    run_head = np.maximum.accumulate(np.where(start, np.arange(q.size), 0))
-    straddled = inside & (lo >= 0.0) & entered_low[run_head] & (lo < caps)
-    return np.clip(caps - hi, 0, caps).astype(np.int64) + straddled
+    caps = np.asarray(k_caps, dtype=np.int64).reshape(-1)
+    held = np.empty((caps.size, values.shape[0]), dtype=np.int64)
+    for a, b, block in _grid_held(values, [j_exp] * caps.size, caps):
+        held[:, a:b] = block
+    return held
 
 
 @dataclass(frozen=True)
@@ -189,13 +239,18 @@ def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
     """Capital of the weighted position sum; components stay >= 0, the sum finite."""
     position = np.zeros(path.n_samples, dtype=np.float64)
     if isinstance(mixture, GridStrategyMixture):
-        by_scale = {}
+        # sum the levels by scale in order of first appearance, then in
+        # mixture order: np.add.reduce over axis 0 adds rows one by one
+        rank = {}
         for lv in mixture.levels:
-            by_scale.setdefault(lv.scale_exp, []).append(lv)
-        for j, levels in by_scale.items():
-            held = doob_grid_held(path.values, j, [lv.k_count for lv in levels])
-            for lv, row in zip(levels, held):
-                position += lv.cell_weight * row
+            rank.setdefault(lv.scale_exp, len(rank))
+        levels = sorted(mixture.levels, key=lambda lv: rank[lv.scale_exp])
+        weights = np.array([lv.cell_weight for lv in levels]).reshape(-1, 1)
+        blocks = _grid_held(
+            path.values, [lv.scale_exp for lv in levels], [lv.k_count for lv in levels]
+        )
+        for a, b, held in blocks:
+            position[a:b] = np.add.reduce(np.multiply(held, weights, out=held), axis=0)
     else:
         for w, strat in mixture.components:
             trace = run_simple(strat, path)
@@ -441,15 +496,21 @@ def verify_prop3_bound(
     Truncation drops only positive components, so a pass is a valid witness;
     a failure raises :class:`BoundViolated` and would indicate a defect in
     the construction, not in the inequality.  Bad parameters raise
-    :class:`BadWeights` (eps, delta, also when they overflow float64),
-    :class:`BadSpec` (N < 1) or :class:`TooLarge` (N + 1 above the DP limit).
+    :class:`BadWeights` (eps, delta, also when they or the path's
+    ``max(1, sup)^(2+eps+delta)`` overflow float64), :class:`BadSpec`
+    (N < 1) or :class:`TooLarge` (N + 1 above the DP limit).
     """
     _check_prop3_params(eps, delta)
     check_dp_samples(N + 1)
     omega_n = discretize(path, N)
     sup = omega_n.sup
-    with _in_float_range(eps, delta):
+    try:
         sup_scale = max(1.0, sup) ** (2.0 + eps + delta)
+    except OverflowError as e:
+        raise BadWeights(
+            f"max(1, sup)^(2+eps+delta) overflows float64 for sup={sup:g} "
+            f"(eps={eps:g}, delta={delta:g})"
+        ) from e
     l_top = max(0, math.ceil(math.log2(sup))) if sup > 1.0 else 0
     mixture = volatility_mixture(
         None,

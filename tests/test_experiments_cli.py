@@ -294,6 +294,8 @@ MALFORMED = {
         ["prop3", "--eps", "150", "--delta", "1", "--N", "4"],
         [1, 900, 1],
     ),
+    # max(1, sup)^(2 + eps + delta) overflows, not eps or delta
+    "prop3-sup-overflow": (["prop3", "--eps", "0.5", "--delta", "0.5", "--N", "4"], [1, 1e300, 1]),
     "prop3-N-huge": (["prop3", "--eps", "1", "--delta", "1", "--N", "4000000000"], None),
     # 1 - 2^-eps rounds to 0, and the prop3 weights divide by it
     "prop3-eps-tiny": (["prop3", "--eps", "1e-300", "--delta", "1", "--N", "4"], None),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from roughmarket import (
     AtIndex,
     GridLevel,
+    GridStrategyMixture,
     SimpleStrategy,
     StrategyMixture,
     VariationFunctional,
@@ -258,6 +260,140 @@ class TestGridKernelOracle:
         assert doob_grid_held(np.array([1.0, 2.0]), 0, []).shape == (0, 2)
 
 
+def reference_position(mix, values):
+    """Grid position summed level by level from the event oracle's held counts.
+
+    Scales are taken in order of first appearance and levels in mixture
+    order within a scale.  The oracle runs a level's cells up to the first
+    one at or above every sample; the cells above it hold throughout (each
+    buys at t = 0 and never reaches its upper edge) and are added as a
+    constant, so the count stays exact in int64 for ``k_count`` far beyond
+    what the oracle can allocate.
+    """
+    by_scale = {}
+    for lv in mix.levels:
+        by_scale.setdefault(lv.scale_exp, []).append(lv)
+    position = np.zeros(values.shape[0])
+    for levels in by_scale.values():
+        for lv in levels:
+            top = max(0, math.ceil(math.ldexp(float(values.max()), lv.scale_exp)))
+            cells = min(lv.k_count, top + 1)
+            held = doob_grid_events(values, lv.scale_exp, cells)[1] + (lv.k_count - cells)
+            position += lv.cell_weight * held
+    return position
+
+
+def assert_matches_reference(mix, values):
+    trace = run_mixture(mix, step_path(values))
+    position = reference_position(mix, values)
+    assert np.array_equal(trace.position, position)
+    assert np.array_equal(trace.capital, self_financing(mix.total_initial, position, values))
+
+
+def dyadic_values(rng, n, bits):
+    ticks = rng.integers(0, 8 << bits, size=n)
+    ticks = np.repeat(ticks, rng.integers(1, 4, size=n))[:n]  # plateaus
+    return np.ldexp(ticks.astype(np.float64), -bits)
+
+
+class TestRunMixtureBitIdentity:
+    """run_mixture's one grid pass against the per-level sum of the event oracle."""
+
+    def test_prop3_levels_per_scale(self):
+        rng = np.random.default_rng(41)
+        for case in range(24):
+            L_top = case % 4  # L_top + 1 levels at most scales
+            n = int(rng.integers(2, 40))
+            if case % 2:  # in [0, 8): some prices above the top class's 2^L_top
+                values = dyadic_values(rng, n, int(rng.integers(0, 4)))
+            else:
+                values = random_positive_path(rng, n_max=40, sigma=0.4).values
+                values = values * (2.0**L_top / float(values.max()))
+            mix = volatility_mixture(
+                None, L_top, j_policy=7 - L_top, kind="prop3", eps=0.5, delta=1.0
+            )
+            assert max(Counter(lv.scale_exp for lv in mix.levels).values()) == L_top + 1
+            assert_matches_reference(mix, values)
+
+    def test_prop1(self):
+        rng = np.random.default_rng(42)
+        for _ in range(8):
+            values = random_positive_path(rng, n_max=50, sigma=0.4).values
+            assert_matches_reference(volatility_mixture(P25, 1, j_policy=6, kind="prop1"), values)
+
+    def test_levels_interleave_scales(self):
+        # scale order 2, 0, -1: the position adds levels 0, 2, 5, then 1, 4, then 3
+        weights = (0.3, 1.0 / 3.0, 0.7, 0.1, math.pi / 10.0, 1.0 / 7.0)
+        shape = ((0, 2), (1, 0), (1, 2), (2, -1), (0, 0), (2, 2))
+        levels = tuple(
+            GridLevel(level_exp=L, scale_exp=j, k_count=1 << (L + j + 1), cell_weight=w)
+            for (L, j), w in zip(shape, weights)
+        )
+        mix = GridStrategyMixture(levels=levels, analytic_tail_capital=0.125)
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            assert_matches_reference(mix, dyadic_values(rng, int(rng.integers(2, 30)), 3) / 4.0)
+            assert_matches_reference(mix, random_positive_path(rng, n_max=30).values)
+
+    def test_no_levels(self):
+        mix = GridStrategyMixture(levels=(), analytic_tail_capital=0.625)
+        trace = run_mixture(mix, step_path([1.0, 3.0, 0.5]))
+        assert np.array_equal(trace.position, [0.0, 0.0, 0.0])
+        assert np.all(trace.capital == 0.625)
+
+    def test_counts_beyond_2_53(self):
+        # at t = 1 the cells k >= 2 of 2^54 hold: 2^54 - 2, exact in float64;
+        # forming it as (2^54 - 3) + 1 would round twice, to 2^54 - 4
+        values = np.array([1.0, 2.5, 2.25, 3.0, 0.5, 2.75, 64.5, 63.75])
+        levels = tuple(
+            GridLevel(level_exp=k, scale_exp=0, k_count=1 << k, cell_weight=w)
+            for k, w in ((54, 1.0), (60, 0.3), (53, 0.5))
+        )
+        mix = GridStrategyMixture(levels=levels, analytic_tail_capital=0.0)
+        assert_matches_reference(mix, values)
+        held = doob_grid_held(values, 0, [1 << 54])[0]
+        assert held[1] == (1 << 54) - 2
+
+
+class TestGridBlocks:
+    """The grid kernel in column blocks: runs inside one band cross block edges."""
+
+    VALUES = np.array(
+        [0.0, 2.5, 2.25, 2.75, 2.5, 2.125, 2.875, 3.0, 3.5, 3.25, 3.75, 3.5]
+        + [1.5, 1.25, 1.75, 1.5, 1.5, 1.375, 2.0, 0.75, 0.75, 0.5, 0.625]
+    )
+
+    def test_rows_match_oracle_across_edges(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        paths = [self.VALUES] + [dyadic_values(rng, int(rng.integers(12, 40)), 2) for _ in range(30)]
+        for cells in (1, 9, 13):  # blocks of 2, 3 and 4 samples
+            monkeypatch.setattr(mixtures, "_BLOCK_CELLS", cells)
+            for values in paths:
+                for j in (-1, 0, 1, 3):
+                    caps = (1, 3, 9)
+                    blocks = list(mixtures._grid_held(values, [j] * 3, caps))
+                    assert len(blocks) >= 3
+                    assert all(b - a >= 2 for a, b, _ in blocks)
+                    for k_cap, held in zip(caps, doob_grid_held(values, j, caps), strict=True):
+                        assert np.array_equal(held, doob_grid_events(values, j, k_cap)[1])
+
+    def test_run_mixture_unchanged_by_blocks(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        paths = [step_path(self.VALUES)] + [random_positive_path(rng, n_max=60) for _ in range(10)]
+        mixes = [
+            volatility_mixture(None, 2, j_policy=5, kind="prop3", eps=1.0, delta=0.5),
+            volatility_mixture(P25, 1, j_policy=4, kind="prop1"),
+        ]
+        expected = [[run_mixture(mix, path) for path in paths] for mix in mixes]
+        for cells in (1, 7, 50, 100):
+            monkeypatch.setattr(mixtures, "_BLOCK_CELLS", cells)
+            for mix, traces in zip(mixes, expected):
+                for path, want in zip(paths, traces):
+                    got = run_mixture(mix, path)
+                    assert np.array_equal(got.position, want.position)
+                    assert np.array_equal(got.capital, want.capital)
+
+
 class TestCrossingInequality:
     def test_sawtooth_exact(self):
         mix = volatility_mixture(P25, 0, path_hint=SAW, kind="prop1")
@@ -314,6 +450,12 @@ class TestProp3Bound:
             verify_prop3_bound(SAW, 0.0, 1.0, 2)
         with pytest.raises(ValueError):
             verify_prop3_bound(SAW, 1.0, 1.0, 0)
+
+    def test_sup_overflow_names_the_sup(self):
+        # eps and delta are fine; max(1, sup)^(2 + eps + delta) is what overflows
+        with pytest.raises(BadWeights, match=r"sup=1e\+300") as info:
+            verify_prop3_bound(step_path([1.0, 1e300, 1.0]), 0.5, 0.5, 2)
+        assert "max(1, sup)^(2+eps+delta)" in str(info.value)
 
     def test_violation_raises(self, monkeypatch):
         import roughmarket.mixtures as mx
