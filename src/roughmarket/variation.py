@@ -592,32 +592,42 @@ def crossings(path: PricePath, a: float, b: float) -> CrossingCount:
 def _band_moves(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Completed up and down moves across each band (a[k], b[k]), as in :func:`crossings`.
 
-    ``a`` and ``b`` are nondecreasing with a[k] < b[k].  As the edges are
-    sorted, the bands on their low side after a sample x (a[k] >= x) are a
-    suffix [low, K), those on their high side (b[k] <= x) a prefix [0, high),
-    and every other band keeps the side it was last on.  So a sample touches
-    only the bands that the suffix or the prefix gains since the previous
-    sample: O(n + band entries) time, O(K) memory.  The kernel keeps explicit
-    per-band state (0 no side yet, 1 low, 2 high) and does not use the grid
-    kernel's floor/ceil and run-head invariant, so the two certify each other.
+    ``a`` and ``b`` are nondecreasing with a[k] < b[k].  Band k is on its low
+    side iff its last sample in [0, a[k]] is later than its last sample in
+    [b[k], inf), and has no side while it has neither.  As the edges are
+    sorted, the first time is nondecreasing in k and the second nonincreasing,
+    so the bands form three blocks [high | no side | low], split at p <= q.
+    Sample t sets [0, highs_t) high and [lows_t, K) low, its ``searchsorted``
+    indices, which clamps p and q into [highs_t, lows_t].  A sample with its
+    predecessor's index pair moves no band (a clamp is idempotent) and is
+    dropped.  Clamps compose into clamps, so a Hillis-Steele scan (log2 n
+    rounds of max/min on shifted slices) gives p and q before every sample.
+    Sample t completes ups on [q_{t-1}, highs_t) and downs on [lows_t, p_{t-1}),
+    summed per band by difference arrays: O(n log n + K) time, O(n + K) memory.
+    ``mixtures._grid_held`` rests on the same monotone-side fact but shares no
+    code with this kernel, and each is pinned to its own oracle
+    (``tests/crossing_oracle.py``, ``tests/grid_oracle.py``), so they certify
+    each other.
     """
-    lows = np.searchsorted(a, values, side="left").tolist()
-    highs = np.searchsorted(b, values, side="right").tolist()
-    side = np.zeros(a.shape[0], dtype=np.int8)
-    up = np.zeros(a.shape[0], dtype=np.int64)
-    down = np.zeros(a.shape[0], dtype=np.int64)
-    low_was, high_was = a.shape[0], 0
-    for low, high in zip(lows, highs):
-        if low < low_was:
-            joined = side[low:low_was]
-            down[low:low_was] += joined == 2
-            joined[:] = 1
-        if high > high_was:
-            joined = side[high_was:high]
-            up[high_was:high] += joined == 1
-            joined[:] = 2
-        low_was, high_was = low, high
-    return up, down
+    n_bands = a.shape[0]
+    lows = np.searchsorted(a, values, side="left")
+    highs = np.searchsorted(b, values, side="right")
+    moved = np.concatenate(([True], (lows[1:] != lows[:-1]) | (highs[1:] != highs[:-1])))
+    highs, lows = highs[moved], lows[moved]
+    # clamp t + 1 is kept sample t's; clamp 0, [0, K], is the start.  The scan
+    # leaves p and q before kept sample t in lo[t] and hi[t].
+    lo, hi = np.concatenate(([0], highs[:-1])), np.concatenate(([n_bands], lows[:-1]))
+    shift = 1
+    while shift < lo.shape[0]:
+        new_lo = np.minimum(np.maximum(lo[:-shift], lo[shift:]), hi[shift:])
+        hi[shift:] = np.minimum(np.maximum(hi[:-shift], lo[shift:]), hi[shift:])
+        lo[shift:] = new_lo
+        shift *= 2
+    up = np.bincount(hi, minlength=n_bands + 1)
+    np.subtract.at(up, np.maximum(hi, highs), 1)
+    down = np.bincount(lows, minlength=n_bands + 1)
+    np.subtract.at(down, np.maximum(lows, lo), 1)
+    return np.cumsum(up, out=up)[:-1], np.cumsum(down, out=down)[:-1]
 
 
 MAX_BANDS = 1 << 20  # band grids in use stay near 2^10

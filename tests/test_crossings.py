@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from roughmarket import GeneratorSpec, crossings, generate, grid_crossings
 from roughmarket.errors import BadInterval, BadStep
-from roughmarket.variation import band_crossings
+from roughmarket.mixtures import doob_grid_held
+from roughmarket.variation import _band_moves, band_crossings
 
 from conftest import random_positive_path, step_path
 from crossing_oracle import crossings as oracle_crossings
@@ -155,3 +156,77 @@ class TestKernelMatchesOracle:
             c = oracle_crossings(path, k * h, (k + 1) * h)
             assert (up[k], down[k]) == (c.up, c.down)
         assert elapsed < 5.0
+
+    def test_long_walk(self):
+        # 2^16 samples: long runs inside one wide band, whose repeated index
+        # pairs the kernel drops, and 1000 grid bands
+        steps = np.random.default_rng(41).choice([-1.0, 0.0, 1.0], size=2**16)
+        walk = np.cumsum(steps)
+        path = step_path(walk - walk.min())
+        mid = float(np.median(path.values))
+        c = crossings(path, mid - 10.0, mid + 10.0)
+        assert c == oracle_crossings(path, mid - 10.0, mid + 10.0)
+        assert c.up > 0
+        h = path.sup / 999.5
+        up, down = band_crossings(path, h)
+        assert len(up) == 1000
+        for k in np.random.default_rng(43).integers(0, len(up), size=8).tolist():
+            c = oracle_crossings(path, k * h, (k + 1) * h)
+            assert (up[k], down[k]) == (c.up, c.down)
+
+
+EDGES = st.one_of(
+    st.integers(0, 28).map(lambda k: k * 0.25),
+    st.integers(0, 70).map(lambda k: k * 0.1),
+    st.floats(0.0, 7.0),
+)
+WIDTHS = st.one_of(st.sampled_from(TICKS), st.floats(1e-6, 4.0), st.just(math.inf))
+
+
+@st.composite
+def sorted_bands(draw):
+    """Nondecreasing edges with a[k] < b[k]: overlapping bands, tied edges, b = inf.
+
+    Sorting the upper edges on their own keeps a[k] < b[k], since the k+1
+    smallest of a[i] + w[i] each lie above a different a[i].
+    """
+    a = sorted(draw(st.lists(EDGES, min_size=1, max_size=12)))
+    widths = draw(st.lists(WIDTHS, min_size=len(a), max_size=len(a)))
+    return np.array(a), np.array(sorted(x + w for x, w in zip(a, widths)))
+
+
+class TestBandMovesContract:
+    """``_band_moves`` on any sorted bands, and against the grid kernel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ticked_prices(), sorted_bands())
+    def test_any_sorted_bands(self, path, bands):
+        a, b = bands
+        up, down = _band_moves(path.values, a, b)
+        expected = [oracle_crossings(path, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert up.tolist() == [c.up for c in expected]
+        assert down.tolist() == [c.down for c in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ticked_prices())
+    def test_ups_are_the_grid_kernels_sales(self, path):
+        # a sample either buys or sells in a cell grid, never both, so the
+        # held count's total decrease is the number of completed ups
+        for j in (-1, 0, 1, 2, 3, 6):
+            if np.any((path.values > 0) & (np.ldexp(path.values, j) == 0)):
+                continue  # the grid kernel's known defect, pinned by the xfail below
+            up = band_crossings(path, 2.0**-j)[0]
+            for k_cap in (1, len(up) // 2, len(up), len(up) + 3):
+                held = doob_grid_held(path.values, j, [k_cap])[0]
+                sales = np.maximum(held[:-1] - held[1:], 0).sum()
+                assert up[:k_cap].sum() == sales
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="mixtures._grid_held scales prices by 2**j with ldexp, which rounds a"
+        " subnormal price to 0 at j < 0, so cell 0 buys above its lower edge",
+    )
+    def test_subnormal_price_stays_above_a_coarse_cell(self):
+        values = np.array([5e-324, 2.0])
+        assert band_crossings(step_path(values), 2.0)[0][0] == 0
+        assert doob_grid_held(values, -1, [1]).tolist() == [[0, 0]]
