@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,10 +33,10 @@ from .strategies import (
 from .variation import (
     MAX_ORACLE_SAMPLES,
     VariationFunctional,
+    _grid_moves,
     brute_force_var_phi,
     check_dp_samples,
     crossings,
-    grid_crossings,
     var_phi,
     variation_growth_profile,
 )
@@ -64,6 +65,7 @@ EXPERIMENT_KINDS = (
 # the seed comes from the config's seed list
 _GENERATOR_FIELDS = set(GeneratorSpec.__dataclass_fields__) - {"seed"}
 _DEFAULT_GENERATOR = {"kind": "exp-fractional", "hurst": 0.5, "sigma": 0.5}
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False)  # canonical_json's
 
 
 def _param(params: dict, key: str, cast, default, minimum=None, maximum=None):
@@ -162,7 +164,7 @@ class RunReport:
 def canonical_json(payload) -> str:
     """Sorted, indented, strict JSON; :class:`NonFiniteResult` for NaN or infinity."""
     try:
-        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+        return _CANONICAL.encode(payload)
     except ValueError as e:
         raise NonFiniteResult(f"a result is not finite, so JSON cannot hold it ({e})") from e
 
@@ -179,19 +181,18 @@ def report_canonical_bytes(report: RunReport) -> bytes:
 
 
 def write_report(report: RunReport, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_file(out / "report.json", report_canonical_bytes(report))
-    _write_file(out / "meta.json", json.dumps({"wall_time_s": report.wall_time_s}).encode("utf-8"))
+    out = os.fspath(out_dir) or os.curdir  # Path("") is the current directory too
+    os.makedirs(out, exist_ok=True)
+    _write_file(os.path.join(out, "report.json"), report_canonical_bytes(report))
+    meta = json.dumps({"wall_time_s": report.wall_time_s}).encode("utf-8")
+    _write_file(os.path.join(out, "meta.json"), meta)
     if report.cases:
         buf = io.StringIO()
         keys = sorted({k for c in report.cases for k in c})
-        writer = csv.DictWriter(buf, fieldnames=keys)
-        writer.writeheader()
-        for c in report.cases:
-            writer.writerow(c)
-        _write_file(out / "cases.csv", buf.getvalue().encode("utf-8"))
-    return out / "report.json"
+        writer = csv.writer(buf)  # the bytes of csv.DictWriter, without its per-row checks
+        writer.writerows([keys] + [[c.get(k, "") for k in keys] for c in report.cases])
+        _write_file(os.path.join(out, "cases.csv"), buf.getvalue().encode("utf-8"))
+    return Path(out, "report.json")
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +291,8 @@ def _case_prop1(seed: int, params: dict) -> dict:
     path = PricePath(path.times, dyadic_round(values))
     s_t = run_mixture(mix, path).final_capital
     rhs = 0.0
-    for lv in mix.levels:
-        m = grid_crossings(path, lv.cell_height).up
-        rhs += lv.cell_weight * lv.cell_height * m  # w(j) 2^-(L+2j) M
+    for lv, (up, _) in zip(mix.levels, _grid_moves(path, [lv.cell_height for lv in mix.levels])):
+        rhs += lv.cell_weight * lv.cell_height * int(up.sum())  # w(j) 2^-(L+2j) M
     return {
         "case": f"prop1-{seed:06d}",
         "L": L,

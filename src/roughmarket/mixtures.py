@@ -171,6 +171,8 @@ def _grid_held(values: np.ndarray, scale_exps, k_caps) -> Iterator[tuple[int, in
     carry = 0
     for a, b in zip(edges, edges[1:]):
         q = np.ldexp(x[a : b + 1], js)  # one sample before the block
+        if min(rank, default=0) < 0:  # ldexp can flush a subnormal price to 0: keep it in cell 0
+            q[(q == 0.0) & (x[a : b + 1] > 0.0)] = 5e-324
         lo = np.floor(q)
         hi = np.ceil(q)
         mid = lo + hi  # 2c + 1 inside the band (c, c+1), 2q on a band edge

@@ -338,7 +338,13 @@ def _write_file(destination, data: bytes) -> None:
             os.unlink(destination)
     except OSError:
         pass
-    Path(destination).write_bytes(data)
+    fd = os.open(destination, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # os.write may write less than asked
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
 
 
 def write_path(path: PricePath, destination) -> None:

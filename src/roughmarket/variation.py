@@ -585,49 +585,62 @@ def crossings(path: PricePath, a: float, b: float) -> CrossingCount:
     """
     if not (0.0 <= a < b):
         raise BadInterval(f"need 0 <= a < b, got ({a}, {b})")
-    up, down = _band_moves(path.values, np.array([a], dtype=float), np.array([b], dtype=float))
+    up, down = _band_moves(path.values, [(np.array([a], float), np.array([b], float))])[0]
     return CrossingCount(up=int(up[0]), down=int(down[0]))
 
 
-def _band_moves(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _band_moves(values: np.ndarray, band_sets) -> list[tuple[np.ndarray, np.ndarray]]:
     """Completed up and down moves across each band (a[k], b[k]), as in :func:`crossings`.
 
-    ``a`` and ``b`` are nondecreasing with a[k] < b[k].  Band k is on its low
-    side iff its last sample in [0, a[k]] is later than its last sample in
-    [b[k], inf), and has no side while it has neither.  As the edges are
-    sorted, the first time is nondecreasing in k and the second nonincreasing,
-    so the bands form three blocks [high | no side | low], split at p <= q.
-    Sample t sets [0, highs_t) high and [lows_t, K) low, its ``searchsorted``
-    indices, which clamps p and q into [highs_t, lows_t].  A sample with its
-    predecessor's index pair moves no band (a clamp is idempotent) and is
-    dropped.  Clamps compose into clamps, so a Hillis-Steele scan (log2 n
-    rounds of max/min on shifted slices) gives p and q before every sample.
-    Sample t completes ups on [q_{t-1}, highs_t) and downs on [lows_t, p_{t-1}),
-    summed per band by difference arrays: O(n log n + K) time, O(n + K) memory.
-    ``mixtures._grid_held`` rests on the same monotone-side fact but shares no
-    code with this kernel, and each is pinned to its own oracle
-    (``tests/crossing_oracle.py``, ``tests/grid_oracle.py``), so they certify
-    each other.
+    One ``(up, down)`` per set ``(a, b)`` of nondecreasing edges, a[k] < b[k].  Band
+    k is on its low side iff its last sample in [0, a[k]] is later than its last in
+    [b[k], inf); it has no side while it has neither.  With sorted edges the first
+    time is nondecreasing in k and the second nonincreasing, so the bands form
+    three blocks [high | no side | low], split at p <= q.  Sample t sets [0, highs_t)
+    high and [lows_t, K) low, its ``searchsorted`` indices, which clamps p and q
+    into [highs_t, lows_t].  A sample with its predecessor's index pairs moves no
+    band (a clamp is idempotent) and is dropped.  Clamps compose, so a Hillis-Steele
+    scan (log2 n rounds of max/min on shifted slices, one column per set) gives p
+    and q before every sample.  Sample t completes ups on [q_{t-1}, highs_t) and
+    downs on [lows_t, p_{t-1}), summed in one difference array per direction (set s
+    at [starts[s], starts[s + 1])): O(S n log n + sum K) time, O(S n + sum K)
+    memory.  ``mixtures._grid_held`` rests on the same monotone-side fact but shares
+    no code, and each is pinned to its own oracle, so they certify each other.
     """
-    n_bands = a.shape[0]
-    lows = np.searchsorted(a, values, side="left")
-    highs = np.searchsorted(b, values, side="right")
-    moved = np.concatenate(([True], (lows[1:] != lows[:-1]) | (highs[1:] != highs[:-1])))
-    highs, lows = highs[moved], lows[moved]
+    rows, starts = [], [0]  # lows and highs of set s at 2s and 2s + 1
+    for a, b in band_sets:
+        rows += np.searchsorted(a, values, side="left"), np.searchsorted(b, values, side="right")
+        starts.append(starts[-1] + a.shape[0] + 1)
+    moved = np.zeros(values.shape[0], dtype=bool)
+    moved[0] = True
+    changed = np.empty(values.shape[0] - 1, dtype=bool)  # one buffer keeps the peak down
+    for row in rows:
+        moved[1:] |= np.not_equal(row[1:], row[:-1], out=changed)
+    del changed
+    # free the full rows before copying the kept samples into (samples x sets)
+    kept = [row[moved] for row in rows]
+    del rows, row
+    lows, highs = np.array(kept[0::2]).T, np.array(kept[1::2]).T
+    del kept
+    lows += starts[:-1]
+    highs += starts[:-1]
     # clamp t + 1 is kept sample t's; clamp 0, [0, K], is the start.  The scan
     # leaves p and q before kept sample t in lo[t] and hi[t].
-    lo, hi = np.concatenate(([0], highs[:-1])), np.concatenate(([n_bands], lows[:-1]))
+    lo = np.concatenate(([starts[:-1]], highs[:-1]))
+    hi = np.concatenate(([[end - 1 for end in starts[1:]]], lows[:-1]))
     shift = 1
     while shift < lo.shape[0]:
         new_lo = np.minimum(np.maximum(lo[:-shift], lo[shift:]), hi[shift:])
         hi[shift:] = np.minimum(np.maximum(hi[:-shift], lo[shift:]), hi[shift:])
         lo[shift:] = new_lo
         shift *= 2
-    up = np.bincount(hi, minlength=n_bands + 1)
-    np.subtract.at(up, np.maximum(hi, highs), 1)
-    down = np.bincount(lows, minlength=n_bands + 1)
-    np.subtract.at(down, np.maximum(lows, lo), 1)
-    return np.cumsum(up, out=up)[:-1], np.cumsum(down, out=down)[:-1]
+    up = np.bincount(hi.ravel(), minlength=starts[-1])
+    np.subtract.at(up, np.maximum(hi, highs).ravel(), 1)
+    down = np.bincount(lows.ravel(), minlength=starts[-1])
+    np.subtract.at(down, np.maximum(lows, lo).ravel(), 1)
+    np.add.accumulate(up, out=up)  # in place, as K can reach 2^20; a set's entries sum to 0
+    np.add.accumulate(down, out=down)
+    return [(up[s : end - 1], down[s : end - 1]) for s, end in zip(starts, starts[1:])]
 
 
 MAX_BANDS = 1 << 20  # band grids in use stay near 2^10
@@ -653,9 +666,13 @@ def band_crossings(path: PricePath, h: float) -> tuple[np.ndarray, np.ndarray]:
     Band k counts exactly what ``crossings(path, k*h, (k+1)*h)`` counts:
     both run :func:`_band_moves`, here on all bands at once.
     """
-    values = path.values
-    n_bands = band_count(float(values.max()), h)
-    return _band_moves(values, h * np.arange(n_bands), h * np.arange(1, n_bands + 1))
+    return _grid_moves(path, [h])[0]
+
+
+def _grid_moves(path: PricePath, heights) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`band_crossings` for each of ``heights``, all in one band scan."""
+    grids = [h * np.arange(band_count(path.sup, h) + 1) for h in heights]
+    return _band_moves(path.values, [(g[:-1], g[1:]) for g in grids])
 
 
 def grid_crossings(path: PricePath, h: float) -> CrossingCount:

@@ -15,6 +15,12 @@ import math
 import numpy as np
 
 
+def _scaled(x, j_exp):
+    """``x * 2**j_exp``; a positive price that rounds to 0 stays in cell 0 as 5e-324."""
+    q = math.ldexp(x, j_exp)
+    return 5e-324 if q == 0.0 and x > 0.0 else q
+
+
 def doob_grid_events(values, j_exp, k_cap):
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -32,7 +38,7 @@ def doob_grid_events(values, j_exp, k_cap):
 
     for t in range(n):
         x = float(values[t])
-        q = math.ldexp(x, j_exp)
+        q = _scaled(x, j_exp)
         if t == 0:
             k_lo = max(int(math.ceil(q)), 0)
             k_hi = k_cap
@@ -45,7 +51,7 @@ def doob_grid_events(values, j_exp, k_cap):
         else:
             u = float(values[t - 1])
             if x < u:
-                qp = math.ldexp(u, j_exp)
+                qp = _scaled(u, j_exp)
                 k_lo = max(int(math.ceil(q)), 0)
                 k_hi = min(int(math.ceil(qp)), k_cap)
                 if k_lo < k_hi:
@@ -58,7 +64,7 @@ def doob_grid_events(values, j_exp, k_cap):
                         n_hold += cnt
                         sum_buy += x * cnt
             elif x > u:
-                qp = math.ldexp(u, j_exp)
+                qp = _scaled(u, j_exp)
                 k_lo = max(int(math.floor(qp)), 0)
                 k_hi = min(int(math.floor(q)), k_cap)
                 if k_lo < k_hi:

@@ -195,6 +195,15 @@ def sorted_bands(draw):
     return np.array(a), np.array(sorted(x + w for x, w in zip(a, widths)))
 
 
+@st.composite
+def band_sets(draw):
+    """1-6 sorted band sets of different sizes: single bands, grids, any sorted bands."""
+    grids = st.tuples(st.sampled_from(TICKS + (0.05, 0.7)), st.integers(1, 40)).map(
+        lambda g: (g[0] * np.arange(g[1]), g[0] * np.arange(1, g[1] + 1))
+    )
+    return draw(st.lists(st.one_of(sorted_bands(), grids), min_size=1, max_size=6))
+
+
 class TestBandMovesContract:
     """``_band_moves`` on any sorted bands, and against the grid kernel."""
 
@@ -202,10 +211,24 @@ class TestBandMovesContract:
     @given(ticked_prices(), sorted_bands())
     def test_any_sorted_bands(self, path, bands):
         a, b = bands
-        up, down = _band_moves(path.values, a, b)
+        up, down = _band_moves(path.values, [(a, b)])[0]
         expected = [oracle_crossings(path, x, y) for x, y in zip(a.tolist(), b.tolist())]
         assert up.tolist() == [c.up for c in expected]
         assert down.tolist() == [c.down for c in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(ticked_prices(), band_sets())
+    def test_band_sets_in_one_scan(self, path, sets):
+        # a sample moves some set even when it moves none of the others
+        moves = _band_moves(path.values, sets)
+        assert len(moves) == len(sets)
+        for (a, b), (up, down) in zip(sets, moves):
+            alone_up, alone_down = _band_moves(path.values, [(a, b)])[0]
+            assert up.tolist() == alone_up.tolist()
+            assert down.tolist() == alone_down.tolist()
+            expected = [oracle_crossings(path, x, y) for x, y in zip(a.tolist(), b.tolist())]
+            assert up.tolist() == [c.up for c in expected]
+            assert down.tolist() == [c.down for c in expected]
 
     @settings(max_examples=200, deadline=None)
     @given(ticked_prices())
@@ -213,20 +236,14 @@ class TestBandMovesContract:
         # a sample either buys or sells in a cell grid, never both, so the
         # held count's total decrease is the number of completed ups
         for j in (-1, 0, 1, 2, 3, 6):
-            if np.any((path.values > 0) & (np.ldexp(path.values, j) == 0)):
-                continue  # the grid kernel's known defect, pinned by the xfail below
             up = band_crossings(path, 2.0**-j)[0]
             for k_cap in (1, len(up) // 2, len(up), len(up) + 3):
                 held = doob_grid_held(path.values, j, [k_cap])[0]
                 sales = np.maximum(held[:-1] - held[1:], 0).sum()
                 assert up[:k_cap].sum() == sales
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="mixtures._grid_held scales prices by 2**j with ldexp, which rounds a"
-        " subnormal price to 0 at j < 0, so cell 0 buys above its lower edge",
-    )
     def test_subnormal_price_stays_above_a_coarse_cell(self):
+        # ldexp rounds 5e-324 * 2**-1 to 0; the grid kernel keeps it in cell 0
         values = np.array([5e-324, 2.0])
         assert band_crossings(step_path(values), 2.0)[0][0] == 0
         assert doob_grid_held(values, -1, [1]).tolist() == [[0, 0]]

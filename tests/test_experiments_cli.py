@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import signal
 import stat
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +16,17 @@ from roughmarket import (
     ExperimentConfig,
     __version__,
     GeneratorSpec,
+    VariationFunctional,
     emit_plot_data,
     generate,
+    grid_crossings,
     psi,
     run_experiment,
+    volatility_mixture,
     write_path,
     write_report,
 )
+from roughmarket import experiments
 from roughmarket.cli import main
 from roughmarket.errors import CaseFailure, ConfigError, UnknownSeries
 from roughmarket.experiments import canonical_json, report_canonical_bytes
@@ -47,6 +53,12 @@ class TestConfig:
             ExperimentConfig.from_json("{nope")
 
 
+def _short_suite_seed(seed: int, r: int) -> int:
+    """prop1-check's seed in round ``r`` of a short-suite benchmark run with ``seed``."""
+    digest = hashlib.sha256(f"short-suite/{seed}/{r}/2".encode()).digest()
+    return int.from_bytes(digest[:4], "little") >> 1
+
+
 class TestSuites:
     def test_oracle_suite_all_pass(self):
         rep = run_experiment(ExperimentConfig(kind="oracle-suite", seeds=tuple(range(25))))
@@ -59,6 +71,24 @@ class TestSuites:
     def test_prop1_suite_all_pass(self):
         rep = run_experiment(ExperimentConfig(kind="prop1-check", seeds=tuple(range(8))))
         assert rep.failed == 0
+
+    @pytest.mark.parametrize("L", [0, 1, 3])
+    def test_prop1_crossing_sum_is_the_per_level_sum(self, monkeypatch, L):
+        # prop1-check counts every level's grid in one band scan; its sum must
+        # be the one of a grid_crossings call per level, on the suite's walk
+        # paths and on prop1-check's seeds in the short-suite benchmark
+        seen = []
+        scan = experiments._grid_moves
+        monkeypatch.setattr(experiments, "_grid_moves", lambda p, hs: seen.append(p) or scan(p, hs))
+        mix = volatility_mixture(VariationFunctional.power(2.5), L, j_policy=8, kind="prop1")
+        seeds = list(range(8)) + [_short_suite_seed(s, r) for s in (1711, 1911) for r in range(5)]
+        for seed in seeds:
+            case = experiments._case_prop1(seed, {"L": L})
+            path = seen.pop()
+            per_level = 0.0
+            for lv in mix.levels:
+                per_level += lv.cell_weight * lv.cell_height * grid_crossings(path, lv.cell_height).up
+            assert case["crossing_sum"] == per_level > 0.0
 
     def test_prop3_suite(self):
         cfg = ExperimentConfig(
@@ -128,6 +158,16 @@ class TestReportDeterminism:
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert "wall_time_s" in meta
         assert (tmp_path / "out" / "cases.csv").exists()
+
+    @pytest.mark.parametrize("out_dir", ["", ".", "new/sub"])
+    def test_write_report_takes_str_dirs(self, tmp_path, monkeypatch, out_dir):
+        # an empty name is the current directory, as it is for pathlib
+        monkeypatch.chdir(tmp_path)
+        rep = run_experiment(ExperimentConfig(kind="upper-prob-table", seeds=(0,)))
+        where = write_report(rep, out_dir)
+        assert where == Path(out_dir) / "report.json"
+        assert where.read_bytes() == report_canonical_bytes(rep)
+        assert sorted(os.listdir(Path(out_dir))) == ["cases.csv", "meta.json", "report.json"]
 
     def test_shorter_report_over_longer_one(self, tmp_path):
         long_rep = run_experiment(ExperimentConfig(kind="doob-suite", seeds=tuple(range(10))))
@@ -598,3 +638,45 @@ class TestOutputWriter:
         assert refused == [f]
         assert os.stat(f).st_ino == ino
         assert f.read_bytes() == b"new\n"
+
+
+class TestOsLevelWrite:
+    """``_write_file`` writes with ``os.open`` and an ``os.write`` loop."""
+
+    def test_short_writes_leave_the_whole_payload(self, tmp_path, monkeypatch):
+        write = os.write
+        calls = []
+
+        def at_most_3_bytes(fd, data):
+            calls.append(len(data))
+            return write(fd, data[:3])
+
+        payload = bytes(range(256)) * 3 + b"tail"
+        monkeypatch.setattr(os, "write", at_most_3_bytes)
+        _write_file(tmp_path / "out.bin", payload)
+        monkeypatch.undo()
+        assert (tmp_path / "out.bin").read_bytes() == payload
+        assert len(calls) == math.ceil(len(payload) / 3)
+
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    def test_shorter_payload_through_a_link_leaves_no_tail(self, tmp_path, link):
+        target = tmp_path / "target.json"
+        target.write_bytes(OLD)
+        dest = tmp_path / "dest.json"
+        if link == "symlink":
+            dest.symlink_to(target)
+        else:
+            os.link(target, dest)
+        _write_file(dest, b"new\n")
+        assert target.read_bytes() == dest.read_bytes() == b"new\n"
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002, 0o000])
+    def test_new_file_mode_is_that_of_write_bytes(self, tmp_path, mask):
+        previous = os.umask(mask)
+        try:
+            _write_file(tmp_path / "ours", b"x")
+            (tmp_path / "pathlib").write_bytes(b"x")
+        finally:
+            os.umask(previous)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("ours", "pathlib")]
+        assert modes[0] == modes[1] == 0o666 & ~mask
