@@ -26,6 +26,7 @@ so a verified bound on the truncated process is a valid witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -358,7 +359,7 @@ def volatility_mixture(
     if kind == "prop1":
         if phi is None:
             raise InadmissiblePhi("prop1 mixture needs a gauge")
-        report = phi_admissible(phi)
+        report = _admissibility(phi)
         if not report.admissible:
             raise InadmissiblePhi(
                 f"gauge fails the dyadic series probe (tail_trend={report.tail_trend:.3g})"
@@ -367,26 +368,7 @@ def volatility_mixture(
         if L > 62:  # 2^(L+cut) cells overflow int64; the budget keeps L + cut <= 25 if cut > 0
             raise TooLarge(f"L = {L}: a level of 2^L cells or more overflows int64")
         cut = _resolve_scale_cut(j_policy, path_hint, 0, [(L, 0)])
-        js = np.arange(0, cut + 1)
-        w_raw = np.asarray(phi(2.0 ** (-js.astype(np.float64)))) * 4.0**js
-        z = float(w_raw.sum())
-        if not (z > 0.0):
-            raise InadmissiblePhi("gauge vanishes on the active scales")
-        levels = tuple(
-            GridLevel(
-                level_exp=L,
-                scale_exp=int(j),
-                k_count=1 << (L + int(j)),
-                cell_weight=float(w) / z * math.ldexp(1.0, -(L + int(j))),
-            )
-            for j, w in zip(js, w_raw)
-        )
-        return GridStrategyMixture(
-            levels=levels,
-            analytic_tail_capital=0.0,
-            descriptor=f"prop1(L={L},{phi.label},j<={cut})",
-            scale_cut=cut,
-        )
+        return _prop1_table(phi, L, cut)
 
     if kind != "prop3":
         raise ConfigError(f"unknown mixture kind {kind!r}")
@@ -394,15 +376,56 @@ def volatility_mixture(
     if phi is not None and (phi.kind != "power" or abs(phi.p - (2.0 + eps)) > 1e-12):
         raise InadmissiblePhi("prop3 gauge must be power(2 + eps)")
     L_top = int(L_max)
-    l_exps = list(range(0, L_top + 1))
-    cut = _resolve_scale_cut(j_policy, path_hint, 2 - L_top, [(L, 2 - L) for L in l_exps])
+    cut = _resolve_scale_cut(j_policy, path_hint, 2 - L_top, [(L, 2 - L) for L in range(L_top + 1)])
+    return _prop3_table(L_top, cut, eps, delta)
 
+
+# The tables below depend on their arguments only, so equal parameters share
+# one immutable mixture.  Their size bound, stated here only: under
+# CELL_BUDGET a prop3 table holds at most 253 levels (about 40 KB; criterion
+# 4's cuts give about 35), so a full prop3 cache holds 10 MB at most, and a
+# prop1 table holds at most 25 levels.
+# prop1-check builds one (gauge, L, cut) per run, so 64 prop1 entries are
+# room for many configurations at a few KB each.
+
+
+@functools.lru_cache(maxsize=64)
+def _admissibility(phi: VariationFunctional):
+    return phi_admissible(phi)
+
+
+@functools.lru_cache(maxsize=64)
+def _prop1_table(phi: VariationFunctional, L: int, cut: int) -> GridStrategyMixture:
+    js = np.arange(0, cut + 1)
+    w_raw = np.asarray(phi(2.0 ** (-js.astype(np.float64)))) * 4.0**js
+    z = float(w_raw.sum())
+    if not (z > 0.0):
+        raise InadmissiblePhi("gauge vanishes on the active scales")
+    levels = tuple(
+        GridLevel(
+            level_exp=L,
+            scale_exp=int(j),
+            k_count=1 << (L + int(j)),
+            cell_weight=float(w) / z * math.ldexp(1.0, -(L + int(j))),
+        )
+        for j, w in zip(js, w_raw)
+    )
+    return GridStrategyMixture(
+        levels=levels,
+        analytic_tail_capital=0.0,
+        descriptor=f"prop1(L={L},{phi.label},j<={cut})",
+        scale_cut=cut,
+    )
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _prop3_table(L_top: int, cut: int, eps: float, delta: float) -> GridStrategyMixture:
     one_m_eps = 1.0 - 2.0**-eps
     one_m_del = 1.0 - 2.0**-delta
     levels = []
     tail = 0.0
     with _in_float_range(eps, delta):
-        for L in l_exps:
+        for L in range(L_top + 1):
             outer = one_m_del * 2.0 ** (-delta * L) * math.ldexp(1.0, 1 - L)
             j_lo = 2 - L
             norm = one_m_eps * 2.0 ** (eps * (2 - L))

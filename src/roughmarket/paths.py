@@ -11,6 +11,7 @@ this bias is inherent to any finite representation and noted per experiment.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -228,48 +229,66 @@ def _validate_spec(spec: GeneratorSpec) -> None:
         raise BadSpec("custom-steps requires at least two values")
 
 
-def fractional_gaussian_noise(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """The first n of M unit-variance fractional Gaussian noise increments.
+# The largest M whose spectrum _fgn_spectrum keeps: 0.5 MB of scale factors
+# an entry, so a 2^22-sample path never pins its 32 MB spectrum.
+_SPECTRUM_CACHE_MAX = 1 << 16
 
-    M is the next power of two >= n, so both FFTs of the exact circulant
-    embedding (Davies & Harte 1987, length 2M) take pocketfft's radix-2
-    passes.  :class:`BadSpec` if the embedding is materially not positive.
+
+@functools.lru_cache(maxsize=16)
+def _fgn_spectrum(M: int, hurst: float) -> tuple[float, float, np.ndarray]:
+    """Scale factors of the circulant embedding (Davies & Harte 1987, length 2M).
+
+    Returns the factors of the two real draws and the read-only factors of
+    the M - 1 complex ones; :class:`BadSpec` if the embedding is materially
+    not positive.  It depends on (M, hurst) only, so repeated parameters
+    reuse it; call ``_fgn_spectrum.__wrapped__`` to bypass the cache.
     """
-    M = 1 << (n - 1).bit_length()
     k = np.arange(M + 1, dtype=np.float64)
     two_h = 2.0 * hurst
     g = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
     del k
-    # Each 2M-point complex buffer (128 MB at 2^22 samples) is freed once
-    # used, and at most two are live.  The first row is built complex,
-    # since fft would otherwise cast a real one to a complex copy.
+    # Each 2M-point complex buffer (128 MB at 2^22 samples) is transformed
+    # in place, bit for bit as into a fresh one.  The first row is built
+    # complex, since fft would otherwise cast a real one to a complex copy.
     m = 2 * M
     row = np.zeros(m, dtype=np.complex128)
     row.real[: M + 1] = g
     row.real[M + 1 :] = g[M - 1 : 0 : -1]
     del g
-    eig = np.fft.fft(row).real
+    eig = np.fft.fft(row, out=row).real
     del row
     if not eig.min() >= -1e-8 * max(eig.max(), 1.0):
         raise BadSpec(f"hurst {hurst!r}: the circulant embedding of {M} increments is not positive")
     eig = np.clip(eig, 0.0, None)
+    half = np.sqrt(eig[1:M] / (2.0 * m))
+    half.setflags(write=False)
+    return np.sqrt(eig[0] / m), np.sqrt(eig[M] / m), half
+
+
+def fractional_gaussian_noise(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """The first n of M unit-variance fractional Gaussian noise increments.
+
+    M is the next power of two >= n, so both FFTs of the exact circulant
+    embedding take pocketfft's radix-2 passes.  :class:`BadSpec` if the
+    embedding is materially not positive.  The embedding's spectrum is kept
+    for M <= :data:`_SPECTRUM_CACHE_MAX` (see :func:`_fgn_spectrum`).
+    """
+    M = 1 << (n - 1).bit_length()
+    spectrum = _fgn_spectrum if M <= _SPECTRUM_CACHE_MAX else _fgn_spectrum.__wrapped__
+    s0, sM, half = spectrum(M, hurst)
     v0 = rng.standard_normal()
     vn = rng.standard_normal()
     v1 = rng.standard_normal(M - 1)
     v2 = rng.standard_normal(M - 1)
-    w0 = np.sqrt(eig[0] / m) * v0
-    wn = np.sqrt(eig[M] / m) * vn
-    half = np.sqrt(eig[1:M] / (2.0 * m))
-    del eig
     body = half * (v1 + 1j * v2)
     del half, v1, v2
-    w = np.empty(m, dtype=np.complex128)
-    w[0] = w0
-    w[M] = wn
+    w = np.empty(2 * M, dtype=np.complex128)
+    w[0] = s0 * v0
+    w[M] = sM * vn
     w[1:M] = body
     np.conj(body[::-1], out=w[M + 1 :])
     del body
-    return np.fft.fft(w).real[:n].copy()  # a view would keep the 2M buffer
+    return np.fft.fft(w, out=w).real[:n].copy()  # a view would keep the 2M buffer
 
 
 def generate(spec: GeneratorSpec) -> PricePath:

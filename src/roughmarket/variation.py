@@ -622,12 +622,14 @@ def _band_moves(values: np.ndarray, band_sets) -> list[tuple[np.ndarray, np.ndar
     del rows, row
     lows, highs = np.array(kept[0::2]).T, np.array(kept[1::2]).T
     del kept
-    lows += starts[:-1]
-    highs += starts[:-1]
+    bounds = np.array(starts)
+    first, last = bounds[None, :-1], bounds[None, 1:] - 1  # set s is [first, last]
+    lows += first
+    highs += first
     # clamp t + 1 is kept sample t's; clamp 0, [0, K], is the start.  The scan
     # leaves p and q before kept sample t in lo[t] and hi[t].
-    lo = np.concatenate(([starts[:-1]], highs[:-1]))
-    hi = np.concatenate(([[end - 1 for end in starts[1:]]], lows[:-1]))
+    lo = np.concatenate((first, highs[:-1]))
+    hi = np.concatenate((last, lows[:-1]))
     shift = 1
     while shift < lo.shape[0]:
         new_lo = np.minimum(np.maximum(lo[:-shift], lo[shift:]), hi[shift:])

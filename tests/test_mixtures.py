@@ -25,12 +25,14 @@ from roughmarket.errors import (
     BadPosition,
     BadWeights,
     BoundViolated,
+    ConfigError,
     InadmissiblePhi,
     NegativeComponent,
     TooLarge,
     TruncationUnsafe,
 )
-from roughmarket import mixtures
+from roughmarket import ExperimentConfig, mixtures, run_experiment
+from roughmarket.experiments import report_canonical_bytes
 from roughmarket.mixtures import _resolve_scale_cut, doob_grid_held, prop3_initial_capital
 from roughmarket.strategies import self_financing
 
@@ -170,6 +172,77 @@ class TestVolatilityMixtureConstruction:
         tiny = step_path([2.0**-1030, 0.0, 1.0])
         mix = volatility_mixture(None, 0, path_hint=tiny, kind="prop3", eps=1.0, delta=1.0)
         assert 20 < mix.scale_cut < 64
+
+
+def prop3(l_top, **kw):
+    return volatility_mixture(
+        None, l_top, kind="prop3", **{"j_policy": 6, "eps": 1.0, "delta": 0.5, **kw}
+    )
+
+
+class TestMixtureTables:
+    def test_equal_parameters_share_one_table(self):
+        assert prop3(1) is prop3(1)
+        assert volatility_mixture(P25, 1, j_policy=6) is volatility_mixture(P25, 1, j_policy=6)
+        # the cut is the key, not the way it was reached
+        assert volatility_mixture(P25, 0, path_hint=SAW) is volatility_mixture(P25, 0, j_policy=2)
+
+    def test_changed_parameters_give_another_table(self, monkeypatch):
+        base = prop3(1)
+        for other in (prop3(2), prop3(1, eps=0.5), prop3(1, delta=1.0), prop3(1, j_policy=5)):
+            assert other != base
+        base1 = volatility_mixture(P25, 1, j_policy=6)
+        for other in (
+            volatility_mixture(VariationFunctional.power(3.0), 1, j_policy=6),
+            volatility_mixture(P25, 2, j_policy=6),
+            volatility_mixture(P25, 1, j_policy=5),
+            volatility_mixture(P25, 1, j_policy=6, path_hint=SAW),  # cut 2
+        ):
+            assert other != base1
+        monkeypatch.setattr(mixtures, "CELL_BUDGET", 2**5)
+        assert volatility_mixture(P25, 1, j_policy=6).scale_cut == 3
+        assert prop3(1).scale_cut < base.scale_cut
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            # an inadmissible gauge before an L past int64
+            (lambda: volatility_mixture(VariationFunctional.power(2.0), 63, j_policy=4), InadmissiblePhi),
+            # an L past int64 before a missing cut
+            (lambda: volatility_mixture(P25, 63), TooLarge),
+            # a gauge that vanishes on every active scale, after the cut
+            (
+                lambda: volatility_mixture(
+                    VariationFunctional.from_table((0.0, 1.0, 2.0), (0.0, 0.0, 1.0)), 0, j_policy=4
+                ),
+                InadmissiblePhi,
+            ),
+            # an unknown kind before bad prop3 parameters
+            (lambda: volatility_mixture(None, 0, kind="nope", eps=-1.0), ConfigError),
+            # bad eps before a wrong gauge
+            (lambda: volatility_mixture(P25, 0, j_policy=4, kind="prop3", eps=-1.0, delta=1.0), BadWeights),
+            # a wrong gauge before a missing cut
+            (lambda: volatility_mixture(P25, 0, kind="prop3", eps=1.0, delta=1.0), InadmissiblePhi),
+            # weights that overflow float64, raised by the table
+            (lambda: prop3(0, eps=2000.0), BadWeights),
+        ],
+    )
+    def test_errors_keep_their_precedence(self, call, error):
+        for cache in (mixtures._admissibility, mixtures._prop1_table, mixtures._prop3_table):
+            cache.cache_clear()
+        for _ in range(3):  # cold, then with whatever the first call cached
+            with pytest.raises(error):
+                call()
+
+    @pytest.mark.parametrize("kind", ["prop1-check", "prop3-check"])
+    def test_reports_cold_and_warm(self, kind):
+        config = ExperimentConfig(kind=kind, seeds=(1, 2))
+        mixtures._prop1_table.cache_clear()
+        mixtures._prop3_table.cache_clear()
+        cold = report_canonical_bytes(run_experiment(config))
+        warm = report_canonical_bytes(run_experiment(config))
+        assert cold == warm
+        assert mixtures._prop1_table.cache_info().hits + mixtures._prop3_table.cache_info().hits
 
 
 class TestGridAgainstExplicit:

@@ -12,10 +12,17 @@ from roughmarket import (
     write_path,
 )
 from roughmarket.errors import BadSpec, BadTimeGrid, NonPositiveValue, ParseError, TooLarge
-from roughmarket.paths import GENERATOR_KINDS, MAX_SAMPLES, _validate_spec
+from roughmarket import paths
+from roughmarket.paths import (
+    GENERATOR_KINDS,
+    MAX_SAMPLES,
+    _fgn_spectrum,
+    _validate_spec,
+    fractional_gaussian_noise,
+)
 
 from conftest import step_path
-from fgn_oracle import fgn_covariance, noise_map
+from fgn_oracle import UnitDraws, fgn_covariance, noise_map
 
 
 class TestMakePath:
@@ -129,6 +136,53 @@ class TestFractionalNoise:
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 255, 256, 300])
     def test_covariance_oracle(self, n, hurst):
         A = noise_map(n, hurst)
+        assert np.abs(A @ A.T - fgn_covariance(n, hurst)).max() <= 1e-10
+
+
+class TestSpectrumCache:
+    @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.8])
+    @pytest.mark.parametrize("n", [1, 3, 100, 256, 257, 4096, 5000])
+    def test_cold_warm_and_uncached_agree(self, n, hurst, monkeypatch):
+        _fgn_spectrum.cache_clear()
+        cold = fractional_gaussian_noise(n, hurst, np.random.default_rng(n))
+        warm = fractional_gaussian_noise(n, hurst, np.random.default_rng(n))
+        assert _fgn_spectrum.cache_info().hits == 1
+        monkeypatch.setattr(paths, "_SPECTRUM_CACHE_MAX", 0)
+        uncached = fractional_gaussian_noise(n, hurst, np.random.default_rng(n))
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, uncached)
+
+    def test_cached_factors_are_read_only(self):
+        _s0, _sM, half = _fgn_spectrum(64, 0.3)
+        assert not half.flags.writeable
+        with pytest.raises(ValueError):
+            half[0] = 1.0
+
+    def test_failures_are_not_cached(self):
+        # hurst > 1 is no covariance: the embedding fails before any draw
+        size = _fgn_spectrum.cache_info().currsize
+        for _ in range(2):
+            draws = UnitDraws()
+            with pytest.raises(BadSpec):
+                fractional_gaussian_noise(64, 1.5, draws)
+            assert draws.used == 0
+        assert _fgn_spectrum.cache_info().currsize == size
+
+    def test_long_paths_bypass_the_cache(self):
+        fractional_gaussian_noise(100, 0.3, np.random.default_rng(0))  # a warm cache
+        info = _fgn_spectrum.cache_info()
+        n = paths._SPECTRUM_CACHE_MAX + 1
+        x = fractional_gaussian_noise(n, 0.3, np.random.default_rng(0))
+        assert x.shape == (n,)
+        after = _fgn_spectrum.cache_info()
+        assert (after.currsize, after.misses) == (info.currsize, info.misses)
+
+    def test_covariance_oracle_on_a_warm_cache(self):
+        n, hurst = 300, 0.35
+        fractional_gaussian_noise(n, hurst, np.random.default_rng(0))
+        hits = _fgn_spectrum.cache_info().hits
+        A = noise_map(n, hurst)
+        assert _fgn_spectrum.cache_info().hits > hits
         assert np.abs(A @ A.T - fgn_covariance(n, hurst)).max() <= 1e-10
 
 
