@@ -7,24 +7,22 @@ index subsequences therefore computes the true supremum.  For star-shaped
 gauges (phi(u)/u nondecreasing) :func:`var_phi` runs it on the turning points
 with a stack of undominated left ends, near-linear on typical paths, taking
 the points in blocks so that one gauge call scores the stack entries that no
-point of the block removes.  The mesh-constrained :func:`qvar_profile` runs
-one pass over the right ends for all its mesh bounds at once
-(:func:`_mesh_dp`): the windows are nested, so one gauge call per block
-serves every mesh, and a left end leaves once later samples on both sides of
-its price have arrived.  :func:`var_dp` is the O(n^2) DP over every sample,
-which gauges that are not star-shaped use, and :func:`qvar_profile` on paths
-whose oscillation reaches the range where psi is not monotone in float64; it
-takes right ends in blocks so that one gauge call scores all of a block's
-left ends and one vector max finishes each right end.  All take at most
-:data:`MAX_DP_SAMPLES` samples, and evaluate the gauge with numpy's overflow
-warning off, so an increment whose gauge passes float64 gives ``inf``.
+point of the block removes.  Every other DP, :func:`var_phi` on gauges
+that are not star-shaped and the mesh-constrained :func:`qvar_profile`, is
+:func:`_mesh_dp`: one pass over the right ends for any number of nested
+windows, in blocks, so that one gauge call per block serves every window.
+Where the gauge is certified nondecreasing in float64 (:func:`_dp_until`),
+a left end leaves once later samples on both sides of its price have
+arrived; otherwise every left end stays, and the pass is O(n^2).  All take
+at most :data:`MAX_DP_SAMPLES` samples, and evaluate the gauge with numpy's
+overflow warning off, so an increment whose gauge passes float64 gives
+``inf``.
 
 Prices are step paths, so plateaus are the normal case.  As every gauge has
 phi(0) = 0, a sample equal to its predecessor has the same best chain value,
 and a run of equal samples offers one candidate, live while its last sample
-is in the window (:func:`_level_heads`).  So :func:`qvar_profile` and the
-:func:`var_dp` branch of :func:`var_phi` keep one row per price level, with
-bit-identical results.
+is in the window (:func:`_level_heads`).  So both callers of
+:func:`_mesh_dp` keep one row per price level, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from .paths import PricePath, discretize
 __all__ = [
     "VariationFunctional",
     "psi",
-    "var_dp",
     "turning_points",
     "var_phi",
     "var_p",
@@ -177,9 +174,11 @@ class VariationFunctional:
         return self.kind
 
 
-# at this size, 2-vCPU VM: var_dp 14.6 s (p = 2.5), 20.8 s (psi) on fractional
-# noise; var_phi 0.1 s on fractional noise, 3.7 s (p = 2.5) and 5.5 s (psi) on a
-# drift with small reversals (one deep stack)
+# at this size, 2-vCPU VM: _mesh_dp on one unconstrained window 48-49 s unpruned
+# on fractional noise (a table that is not certified; qvar_profile's inf bound
+# at oscillation 20), 42 s pruned on a steady rise, where no left end is ever
+# dominated; var_phi 0.1 s on fractional noise, 3.7 s (p = 2.5) and 5.5 s (psi)
+# on a drift with small reversals (one deep stack)
 MAX_DP_SAMPLES = 1 << 16
 
 
@@ -189,60 +188,14 @@ def check_dp_samples(n: int) -> None:
         raise TooLarge(f"{n} samples; the exact variation DP takes at most {MAX_DP_SAMPLES}")
 
 
-# rows x window per block of var_dp, so a gauge array stays near 128 KB or
-# below: larger ones measured 2x slower per cell with psi; 2^12-2^14 measure alike
-_DP_CELLS = 1 << 13
-
-
-@np.errstate(over="ignore")
-def var_dp(values: np.ndarray, gauge: Callable, first: np.ndarray | None = None) -> float:
-    """Supremum over index chains 0 -> n-1 of the summed gauge of increments.
-
-    ``gauge`` maps an array of nonnegative increments to their gauge values,
-    elementwise.  ``first[i]``, when given, is the smallest index a chain may
-    step from into ``i`` (nondecreasing, ``first[i] < i``); by default any
-    ``j < i``.  best[i] is the max over those j of best[j] + gauge(|x_i - x_j|).
-
-    Right ends go in blocks [s, e) of at most w = s - first[s] rows, fewer
-    when the rows times w would pass :data:`_DP_CELLS`.  One gauge call takes
-    the increments of the block's rows against every left end any of them
-    reads, [first[s], e-1); as first is nondecreasing and e - s <= w, that
-    array has fewer than 2 w (e - s) cells, so at most 2 :data:`_DP_CELLS`
-    unless a single row's window passes it.  Then each row i, in order, takes
-    one vector max of best[first[i]:i] plus its slice of those gauge values:
-    the left ends inside the block are final by the time row i reads them.
-    Every candidate best[j] + g is the same float sum as in the one-row-per-
-    right-end DP and max is exact, so the result is bit-identical to it
-    whenever the gauge gives an element of a 2-D array the value it gives
-    the same element of a 1-D slice (psi, powers and ``np.interp`` are
-    elementwise).  O(n^2) time, O(n) memory.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    n = values.shape[0]
-    check_dp_samples(n)
-    if n < 2:
-        return 0.0
-    starts = [0] * n if first is None else first.tolist()
-    best = np.empty(n, dtype=np.float64)
-    best[0] = 0.0
-    s = 1
-    while s < n:
-        lo = starts[s]
-        w = s - lo
-        e = min(n, s + max(1, min(w, _DP_CELLS // w)))
-        g = gauge(np.abs(values[s:e, None] - values[lo : e - 1]))
-        for i in range(s, e):
-            a = starts[i]
-            best[i] = (best[a:i] + g[i - s, a - lo : i - lo]).max()  # np.max costs ~2 us more
-        s = e
-    return float(best[n - 1])
-
-
 # psi is nondecreasing in float64 on [0, 15): it is exactly u*u/2 on
 # [e^-e, 15], as log(log 15) < 1, and below e^-e a nondecreasing numerator
 # over a nonincreasing denominator; above e^e it dips by an ulp at places
 _PSI_MONOTONE_BELOW = 15.0
 _MESH_ROWS = 48  # right ends per block of _mesh_dp; 32-64 measure alike, 16 is 20% slower
+# meshes x rows x left ends per block of _mesh_dp, so its score array stays
+# near 64 KB unless one row passes it
+_DP_CELLS = 1 << 13
 # mesh bounds per _mesh_dp pass: its arrays grow with the bounds it serves
 _MESH_GROUP = 8
 
@@ -273,22 +226,52 @@ def _undominated_until(values: np.ndarray) -> np.ndarray:
     return np.maximum(*passage)
 
 
-@np.errstate(over="ignore")
-def _mesh_dp(values: np.ndarray, firsts: np.ndarray, until: np.ndarray) -> list[float]:
-    """:func:`var_dp` with gauge :func:`psi` for each row of ``firsts``, in
-    one pass over the right ends; ``until`` is :func:`_undominated_until`.
+def _dp_until(values: np.ndarray, phi: VariationFunctional) -> np.ndarray:
+    """``until`` for :func:`_mesh_dp`: :func:`_undominated_until` where phi
+    is certified nondecreasing in float64 on every increment of ``values``,
+    else n everywhere, which keeps every left end.
 
-    The rows of ``firsts`` must be nondecreasing down each column (mesh
-    bounds in decreasing order), and psi nondecreasing in float64 on every
-    increment of ``values`` (oscillation below :data:`_PSI_MONOTONE_BELOW`).
+    psi is certified when the oscillation is below
+    :data:`_PSI_MONOTONE_BELOW`.  A table is certified when its values are
+    nondecreasing and ``np.interp`` does not dip at a node join: inside a
+    segment numpy computes slope*(x - u_j) + v_j, monotone for slope >= 0,
+    and so is the linear continuation past the last node, so the largest
+    value below node k >= 1 is at nextafter(u_k, 0), and it must not pass
+    the value at u_k.  No other gauge is certified.
+    """
+    n = values.shape[0]
+    if phi.kind == "psi":
+        certified = np.ptp(values) < _PSI_MONOTONE_BELOW
+    elif phi.kind == "table":
+        uu, vv = phi._nodes
+        below = phi.on_increments(np.nextafter(uu[1:], 0.0))
+        certified = np.all(np.diff(vv) >= 0.0) and np.all(below <= phi.on_increments(uu[1:]))
+    else:
+        certified = False
+    return _undominated_until(values) if certified else np.full(n, n)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _mesh_dp(values: np.ndarray, firsts: np.ndarray, until: np.ndarray, gauge: Callable) -> list[float]:
+    """Supremum over index chains 0 -> n-1 of the summed ``gauge`` of
+    increments, for each row of ``firsts``, in one pass over the right ends.
+
+    ``gauge`` maps an array of nonnegative increments to their gauge values,
+    elementwise, with gauge(0) = 0.  ``firsts[m, i]`` is the smallest index
+    a chain may step from into ``i`` under mesh m (``firsts[m, i] < i``),
+    nondecreasing along each row and down each column (mesh bounds in
+    decreasing order); best[i] is the max over those j of best[j] +
+    gauge(|x_i - x_j|).  ``until`` is :func:`_dp_until`: left end j serves
+    no row after until[j].
 
     Dominance: every adjacent step is feasible, so best[j+1] >= best[j] +
-    psi(|x_{j+1} - x_j|) >= best[j] in float64 too, and best is
+    gauge(|x_{j+1} - x_j|) >= best[j] in float64 too, and best is
     nondecreasing.  Let j < k with x_k <= x_j.  A row i > k whose window
-    holds j holds k, and if x_i >= x_j, k's candidate best[k] + psi(x_i -
-    x_k) is at least j's, as subtraction, psi and addition are all monotone.
-    Mirrored for x_k >= x_j, so j serves no row after until[j], and the
-    candidates that remain give the same max.
+    holds j holds k, and if x_i >= x_j, k's candidate best[k] + gauge(x_i -
+    x_k) is at least j's, as subtraction and addition are monotone, and so
+    is the gauge wherever :func:`_dp_until` prunes.  Mirrored for x_k >=
+    x_j, so j serves no row after :func:`_undominated_until`'s index, and
+    the candidates that remain give the same max.
 
     Right ends go in blocks of :data:`_MESH_ROWS`, fewer when meshes times
     rows times left ends would pass :data:`_DP_CELLS`.  The left ends of a
@@ -299,11 +282,14 @@ def _mesh_dp(values: np.ndarray, firsts: np.ndarray, until: np.ndarray) -> list[
     ends) array holds each score, or -inf where a left end is outside a
     mesh's window.  The chain values of the block's own samples start at
     -inf, which hides each from the rows up to its own.  Each row then
-    takes one add of the meshes' chain values and one max per mesh, and
-    writes its best into its column.  Every finite candidate is the sum the
-    row-at-a-time DP forms, the undominated left ends of each window are
-    among them, and max is exact (no candidate is NaN: chain and gauge
-    values are finite), so each result is bit-identical to :func:`var_dp`'s.
+    takes one add of the meshes' chain values and one ``fmax`` per mesh,
+    and writes its best into its column.  Chain and gauge values are >= 0
+    or ``inf``, so a valid candidate is never NaN; a hidden one is -inf, or
+    NaN where -inf meets an ``inf`` (warning off), and ``fmax`` skips NaN.
+    Every row has a valid candidate, its predecessor.  So each result is
+    the max of the sums the row-at-a-time DP forms over the undominated
+    left ends, and max is exact: bit-identical to that DP.  O(n x window)
+    time, O(meshes x n) memory.
     """
     meshes, n = firsts.shape
     best = np.zeros((meshes, n))
@@ -315,13 +301,13 @@ def _mesh_dp(values: np.ndarray, firsts: np.ndarray, until: np.ndarray) -> list[
         rows = max(1, min(_MESH_ROWS, _DP_CELLS // (meshes * (nl + _MESH_ROWS))))
         e = min(n, s + rows)
         cols = np.concatenate((live, np.arange(s, e)))
-        g = psi(np.abs(values[s:e, None] - values[cols]))
+        g = gauge(np.abs(values[s:e, None] - values[cols]))
         score = np.where(cols >= firsts[:, s:e].T[:, :, None], g[:, None, :], -np.inf)
         chain = np.full((meshes, cols.size), -np.inf)
         chain[:, :nl] = best[:, live]
         cand = np.empty_like(chain)
         for row, out in zip(score, chain.T[nl:]):
-            np.maximum.reduce(np.add(chain, row, out=cand), axis=1, out=out)
+            np.fmax.reduce(np.add(chain, row, out=cand), axis=1, out=out)
         best[:, s:e] = chain[:, nl:]
         s = e
     return best[:, -1].tolist()
@@ -498,15 +484,19 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     points go in blocks (see :func:`_star_dp`): the entries that stay on a
     stack through a whole block are valid left ends for every point of the
     block that reads it, and one gauge call scores them all.  Other gauges
-    take the O(n^2) :func:`var_dp` with one row per run of equal prices
-    (:func:`_level_heads`), bit-identical to the DP over every sample.
+    take :func:`_mesh_dp` with one unconstrained window and one row per run
+    of equal prices (:func:`_level_heads`), bit-identical to the DP over
+    every sample; it drops dominated left ends when the table is certified
+    nondecreasing (:func:`_dp_until`), and is O(n^2) otherwise.
     """
     if phi.kind == "power" and phi.p <= 1.0:
         d = np.abs(np.diff(path.values))
         return _fsum_nonneg(d**phi.p)
     check_dp_samples(path.values.shape[0])
     if not phi.star_shaped:
-        return var_dp(path.values[_level_heads(path.values)], phi.on_increments)
+        values = path.values[_level_heads(path.values)]
+        firsts = np.zeros((1, values.shape[0]), dtype=np.intp)
+        return _mesh_dp(values, firsts, _dp_until(values, phi), phi.on_increments)[0]
     return _star_dp(turning_points(path.values), phi.on_increments)
 
 
@@ -741,10 +731,11 @@ def qvar_profile(path: PricePath, deltas) -> list[QvarPoint]:
 
     The DP runs on one sample per price level, the first of each run of
     equal prices (:func:`_level_heads`), at its time: the same step function,
-    so the windows come from the same formula.  A path whose oscillation is
-    below :data:`_PSI_MONOTONE_BELOW` runs :func:`_mesh_dp` on up to
-    :data:`_MESH_GROUP` bounds per pass; others run :func:`var_dp` once per
-    bound.  The results are bit-identical to the DP over every sample.
+    so the windows come from the same formula.  :func:`_mesh_dp` serves up
+    to :data:`_MESH_GROUP` bounds per pass, dropping dominated left ends
+    when the oscillation is below :data:`_PSI_MONOTONE_BELOW`
+    (:func:`_dp_until`).  The results are bit-identical to the DP over
+    every sample.
     """
     deltas = [float(d) for d in deltas]
     if not all(d > 0.0 for d in deltas):  # NaN too; inf means unconstrained
@@ -766,13 +757,10 @@ def qvar_profile(path: PricePath, deltas) -> list[QvarPoint]:
         first = np.searchsorted(times[1:], times - np.array(bounds)[:, None], side="right")
         return np.minimum(first, np.arange(times.shape[0]) - 1)
 
-    if deltas and values.max() - values.min() < _PSI_MONOTONE_BELOW:
-        until = _undominated_until(values)
-        out = []
-        for k in range(0, len(deltas), _MESH_GROUP):
-            out += _mesh_dp(values, firsts(deltas[k : k + _MESH_GROUP]), until)
-    else:
-        out = [var_dp(values, psi, firsts([d])[0]) for d in deltas]
+    until = _dp_until(values, VariationFunctional.taylor_psi())
+    out = []
+    for k in range(0, len(deltas), _MESH_GROUP):
+        out += _mesh_dp(values, firsts(deltas[k : k + _MESH_GROUP]), until, psi)
     return [QvarPoint(delta=d, value=v, degenerate=d <= min_gap) for d, v in zip(deltas, out)]
 
 

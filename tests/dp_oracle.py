@@ -1,8 +1,8 @@
-"""Row-at-a-time reference for ``roughmarket.variation.var_dp``.
+"""Row-at-a-time reference for ``roughmarket.variation._mesh_dp``.
 
-One numpy reduction per right end over all of its left ends: the plain form
-of the variation DP, kept as the oracle that the blocked DP must match bit
-for bit.
+One numpy reduction per right end over all of its left ends, for one mesh
+and with no left end dropped: the plain form of the variation DP, kept as
+the oracle that the blocked, pruned DP must match bit for bit on every mesh.
 """
 
 from typing import Callable

@@ -32,7 +32,6 @@ from roughmarket.variation import (
     _STAR_ROWS,
     MAX_DP_SAMPLES,
     turning_points,
-    var_dp,
 )
 
 from conftest import random_positive_path, step_path
@@ -77,7 +76,7 @@ class TestVarPhi:
             for p in (0.3, 0.5, 1.0):
                 phi = VariationFunctional.power(p)
                 assert var_phi(path, phi) == pytest.approx(
-                    var_dp(path.values, phi.on_increments), rel=1e-12
+                    oracle_dp(path.values, phi.on_increments), rel=1e-12
                 )
 
     def test_monotone_identity_p_ge_1(self):
@@ -103,6 +102,9 @@ class TestVarPhi:
         for phi in (VariationFunctional.taylor_psi(), VariationFunctional.power(2.5)):
             assert var_phi(path, phi) == math.inf
         assert [pt.value for pt in qvar_profile(path, [math.inf, 0.1])] == [math.inf, math.inf]
+        # not star-shaped: the mesh DP's -inf sentinels meet an inf gauge value
+        table = VariationFunctional.from_table([0, 1, 2, 3], [0, 10, 11, 15])
+        assert var_phi(step_path([1.0, 1e308, 0.0]), table) == math.inf
 
     def test_dp_size_guard(self):
         # raised before the O(n^2) loop runs or the grid is discretized
@@ -124,6 +126,9 @@ STAR_GAUGES = tuple(
 
 # sqrt(u) at its nodes: concave, so the node ratios fall
 SQRT_TABLE = VariationFunctional.from_table([0.0, 0.25, 1.0, 4.0, 9.0], [0.0, 0.5, 1.0, 2.0, 3.0])
+# nondecreasing, but np.interp passes the value at node 2 just below it
+DIP_TABLE_U = (0.0, 0.3766006307235283, 0.8844805828655509, 0.9904034061293738, 1.3083831198127944)
+DIP_TABLE_PHI = (0.0, 0.03862993109318469, 0.18871277902575045, 0.6630463119991448, 0.7455490777567965)
 
 
 @st.composite
@@ -172,7 +177,7 @@ class TestTurningPointReduction:
     @given(st.one_of(reduction_paths(200), edge_paths(200)))
     def test_matches_full_dp(self, path):
         for phi in STAR_GAUGES:
-            full = var_dp(path.values, phi.on_increments)
+            full = oracle_dp(path.values, phi.on_increments)
             assert var_phi(path, phi) == pytest.approx(full, rel=1e-12, abs=0.0)
 
     @settings(max_examples=150, deadline=None)
@@ -196,7 +201,7 @@ class TestTurningPointReduction:
         def no_full_dp(*args):
             raise AssertionError("full DP ran on a star-shaped gauge")
 
-        monkeypatch.setattr(variation, "var_dp", no_full_dp)
+        monkeypatch.setattr(variation, "_mesh_dp", no_full_dp)
         path = step_path([1.0, 3.0, 2.0, 2.0, 5.0, 1.0, 4.0])
         for phi in STAR_GAUGES:
             assert var_phi(path, phi) > 0.0
@@ -231,23 +236,39 @@ def assert_qvar_identical(path, deltas):
     assert [pt.value for pt in qvar_profile(path, deltas)] == oracle_qvar(path, deltas)
 
 
+def assert_unconstrained_identical(path):
+    """The kernel on every sample, unpruned with psi and the table, and
+    ``var_phi``'s pruned run on the table's price levels."""
+    for gauge in (psi, SQRT_TABLE.on_increments):
+        assert unpruned_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+    assert var_phi(path, SQRT_TABLE) == oracle_dp(path.values, SQRT_TABLE.on_increments)
+
+
 VARIATION_LONG_MESHES = (2.0**-4, 2.0**-6, 2.0**-8)
 CRITERION_6_MESHES = (1.0, 0.4, 0.15, 0.05, 0.01)
 
 
-def unconstrained_block_ends(n_max, cells=_DP_CELLS):
-    """Where ``var_dp``'s blocks end when any left end is allowed: a block
-    starting at s has window s and min(s, cells // s) rows, at least one."""
+def unpruned_dp(values, gauge):
+    """``_mesh_dp`` on one mesh that allows every left end, dropping none."""
+    n = values.shape[0]
+    return variation._mesh_dp(values, np.zeros((1, n), dtype=np.intp), np.full(n, n), gauge)[0]
+
+
+def unconstrained_block_ends(n_max, cells=_DP_CELLS, rows=_MESH_ROWS):
+    """Where ``unpruned_dp``'s blocks end: a block starting at s scores s
+    left ends before it and has min(rows, cells // (s + rows)) rows, at
+    least one."""
     ends = []
     s = 1
     while s < n_max:
-        s += max(1, min(s, cells // s))
+        s += max(1, min(rows, cells // (s + rows)))
         ends.append(s)
     return ends
 
 
-# var_dp's: powers of two up to the square root of the budget, then steps of
-# cells // s; the mesh DP's: multiples of its rows
+# unpruned: full blocks of rows while s + rows fits rows times in the
+# budget, then cells // (s + rows); pruned, with few live left ends:
+# multiples of the rows
 BLOCK_EDGE_SIZES = sorted(
     ({e + d for e in unconstrained_block_ends(200) for d in (-1, 0, 1)} - {1})
     | {k * _MESH_ROWS + d for k in range(1, 7) for d in (0, 1, 2)}
@@ -281,10 +302,11 @@ def blocked_dp_cases(draw):
 
 
 class TestBlockedDP:
-    """``var_dp`` runs right ends in blocks, and ``qvar_profile`` runs all
-    its meshes in one pass (``_mesh_dp``) below ``_PSI_MONOTONE_BELOW`` and
-    ``var_dp`` per mesh above; both must give what the row-at-a-time DP of
-    ``dp_oracle`` gives, bit for bit."""
+    """``_mesh_dp`` runs right ends in blocks: for all of ``qvar_profile``'s
+    meshes in one pass, pruned below ``_PSI_MONOTONE_BELOW`` and unpruned
+    above, and for ``var_phi`` on a table that is not star-shaped.  Each
+    must give what the row-at-a-time DP of ``dp_oracle`` gives, bit for
+    bit."""
 
     def test_criterion_6_paths(self):
         deltas = sorted({*CRITERION_6_MESHES, *VARIATION_LONG_MESHES}, reverse=True)
@@ -308,18 +330,17 @@ class TestBlockedDP:
     def test_block_edges_and_meshes(self, case):
         path, deltas = case
         assert_qvar_identical(path, deltas)
-        for gauge in (psi, SQRT_TABLE.on_increments):
-            assert var_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+        assert_unconstrained_identical(path)
 
     def test_sqrt_table_unconstrained(self):
         path = generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5))
         gauge = SQRT_TABLE.on_increments
-        assert var_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+        assert var_phi(path, SQRT_TABLE) == unpruned_dp(path.values, gauge) == oracle_dp(path.values, gauge)
 
     def test_wide_windows(self):
         # windows of thousands of samples, where the blocks are budget-limited
         path = generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5, seed=1))
-        assert var_dp(path.values, psi) == oracle_dp(path.values, psi)
+        assert unpruned_dp(path.values, psi) == oracle_dp(path.values, psi)
         assert_qvar_identical(path, CRITERION_6_MESHES[:2])
 
     @pytest.mark.parametrize("budget", (4, 64))
@@ -330,12 +351,12 @@ class TestBlockedDP:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(variation, "_DP_CELLS", budget)
             assert_qvar_identical(path, deltas)
-            for gauge in (psi, SQRT_TABLE.on_increments):
-                assert var_dp(path.values, gauge) == oracle_dp(path.values, gauge)
+            assert_unconstrained_identical(path)
 
     def test_blocks_follow_the_cell_budget(self, monkeypatch):
-        budget = 64
+        budget, most = 64, 4
         monkeypatch.setattr(variation, "_DP_CELLS", budget)
+        monkeypatch.setattr(variation, "_MESH_ROWS", most)
         shapes = []
 
         def gauge(d):
@@ -343,14 +364,14 @@ class TestBlockedDP:
             return psi(d)
 
         values = np.exp(np.random.default_rng(7).normal(0.0, 0.3, size=100).cumsum())
-        assert var_dp(values, gauge) == oracle_dp(values, psi)
-        # a block of r rows with window w scores r x (w + r - 1) increments
-        blocks = [(rows, cols - rows + 1) for rows, cols in shapes]
-        assert [w + rows for rows, w in blocks] == unconstrained_block_ends(100, budget)
-        assert any(rows == w > 1 for rows, w in blocks)  # limited by the window
-        assert any(1 < rows < w for rows, w in blocks)  # limited by the budget
-        assert any(rows == 1 and w > budget for rows, w in blocks)  # one row
-        assert all(rows * cols < 2 * budget for rows, cols in shapes if rows > 1)
+        assert unpruned_dp(values, gauge) == oracle_dp(values, psi)
+        # a block of r rows starting at s scores r x (s + r) increments
+        blocks = [(rows, cols - rows) for rows, cols in shapes]
+        assert [s + rows for rows, s in blocks] == unconstrained_block_ends(100, budget, most)
+        assert any(rows == most for rows, s in blocks)  # limited by the rows
+        assert any(1 < rows < most for rows, s in blocks)  # limited by the budget
+        assert any(rows == 1 and s > budget for rows, s in blocks)  # one row
+        assert all(rows * cols <= budget for rows, cols in shapes if rows > 1)
 
 
 def floats_around(x, ulps):
@@ -360,8 +381,9 @@ def floats_around(x, ulps):
 
 class TestMeshDP:
     """``_mesh_dp`` drops the left ends that later samples dominate, which is
-    exact where psi is nondecreasing in float64; ``qvar_profile`` takes it
-    only below ``_PSI_MONOTONE_BELOW`` and groups the mesh bounds."""
+    exact where the gauge is nondecreasing in float64: psi below
+    ``_PSI_MONOTONE_BELOW``, and tables that pass the node-join check.
+    ``qvar_profile`` groups the mesh bounds."""
 
     def test_psi_nondecreasing_below_the_guard(self):
         rng = np.random.default_rng(13)
@@ -386,29 +408,70 @@ class TestMeshDP:
         expect = [max(passage(j, operator.le), passage(j, operator.ge)) for j in range(n)]
         assert variation._undominated_until(path.values).tolist() == expect
 
-    def test_oscillation_picks_the_kernel(self, monkeypatch):
+    def test_oscillation_picks_the_pruning(self, monkeypatch):
+        mesh_dp = variation._mesh_dp
         calls = []
 
-        def counted(values, gauge, first):
-            calls.append(first)
-            return oracle_dp(values, gauge, first)
+        def counted(values, firsts, until, gauge):
+            calls.append(until.tolist())
+            return mesh_dp(values, firsts, until, gauge)
 
-        monkeypatch.setattr(variation, "var_dp", counted)
+        monkeypatch.setattr(variation, "_mesh_dp", counted)
         meshes = [math.inf, 0.4, 0.1]
         below = np.nextafter(_PSI_MONOTONE_BELOW, 0.0)
-        for top, per_mesh in ((below, False), (_PSI_MONOTONE_BELOW, True), (1e6, True)):
+        for top, pruned in ((below, True), (_PSI_MONOTONE_BELOW, False), (1e6, False)):
             path = step_path([0.0, top, 0.25 * top, 0.75 * top, 0.5 * top, 0.0])
             calls.clear()
             assert [pt.value for pt in qvar_profile(path, meshes)] == oracle_qvar(path, meshes)
-            assert len(calls) == (len(meshes) if per_mesh else 0)
+            assert calls == [[5, 6, 5, 6, 6, 6] if pruned else [6] * 6]
+
+    def test_no_meshes(self):
+        for top in (1.0, 1e6):  # pruned and unpruned
+            assert qvar_profile(step_path([0.0, top, 0.5 * top]), []) == []
+
+    def test_table_certificate(self, monkeypatch):
+        mesh_dp = variation._mesh_dp
+        pruned = []
+
+        def counted(values, firsts, until, gauge):
+            pruned.append(bool((until < values.shape[0]).any()))
+            return mesh_dp(values, firsts, until, gauge)
+
+        monkeypatch.setattr(variation, "_mesh_dp", counted)
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=257, hurst=0.4, sigma=0.5, seed=2))
+        dips = VariationFunctional.from_table(DIP_TABLE_U, DIP_TABLE_PHI)
+        assert dips.on_increments(np.nextafter(DIP_TABLE_U[2], 0.0)) > DIP_TABLE_PHI[2]
+        # falls by an ulp past node 1, too little for np.interp to dip at node 2
+        falls = VariationFunctional.from_table([0.0, 1.0, 2.0], [0.0, 1.0, np.nextafter(1.0, 0.0)])
+        assert falls.on_increments(np.nextafter(2.0, 0.0)) == falls.table_phi[2]
+        for phi, certified in ((dips, False), (falls, False), (SQRT_TABLE, True)):
+            assert not phi.star_shaped
+            assert var_phi(path, phi) == oracle_dp(path.values, phi.on_increments)
+            assert pruned == [certified]
+            pruned.clear()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=8),
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8),
+    )
+    def test_interp_nondecreasing_inside_segments(self, du, dv):
+        # np.interp's slope*(x - u_j) + v_j, which the certificate relies on
+        k = min(len(du), len(dv))
+        u = np.concatenate([[0.0], np.cumsum(du[:k])])
+        v = np.concatenate([[0.0], np.cumsum(dv[:k])])
+        phi = VariationFunctional.from_table(u, v)
+        for lo, hi in zip(u, [*u[1:], 2.0 * u[-1]]):  # the last: the continuation
+            x = np.sort(np.concatenate([np.linspace(lo, hi, 4001)[:-1], floats_around(hi, 500)[:500]]))
+            assert np.all(np.diff(phi.on_increments(x[x >= lo])) >= 0.0)
 
     def test_meshes_go_in_groups(self, monkeypatch):
         mesh_dp = variation._mesh_dp
         passes = []
 
-        def counted(values, firsts, until):
+        def counted(values, firsts, until, gauge):
             passes.append(firsts.shape[0])
-            return mesh_dp(values, firsts, until)
+            return mesh_dp(values, firsts, until, gauge)
 
         monkeypatch.setattr(variation, "_mesh_dp", counted)
         monkeypatch.setattr(variation, "_MESH_GROUP", 2)
@@ -467,7 +530,7 @@ def plateau_cases(draw):
 
 
 class TestLevelRuns:
-    """``qvar_profile`` and the full-DP branch of ``var_phi`` keep one DP row
+    """``qvar_profile`` and the non-star branch of ``var_phi`` keep one DP row
     per run of equal prices; they must give what the row-at-a-time DP of
     ``dp_oracle`` gives on every sample, bit for bit."""
 
@@ -490,10 +553,10 @@ class TestLevelRuns:
         assert [pt.value for pt in qvar_profile(path, deltas)] == oracle_qvar(path, deltas) == [0.0] * 3
         assert var_phi(path, SQRT_TABLE) == oracle_dp(path.values, SQRT_TABLE.on_increments) == 0.0
 
-    @pytest.mark.parametrize("scale", (1.0, 20.0))  # _mesh_dp, then var_dp per bound
+    @pytest.mark.parametrize("scale", (1.0, 20.0))  # pruned, then unpruned
     def test_bounds_below_the_finest_gap(self, scale):
-        # 5e-17 and less leave times - d == times, which gave -inf (_mesh_dp)
-        # or a ZeroDivisionError (var_dp) when adjacent steps were not kept
+        # 5e-17 and less leave times - d == times, which gave -inf or a
+        # ZeroDivisionError when adjacent steps were not kept
         path = PricePath(np.array([0.0, 0.25, 0.5, 0.9, 1.0]), scale * np.array([1.0, 1.0, 0.5, 0.5, 0.75]))
         min_gap = float(np.diff(path.times).min())
         deltas = [min_gap, 0.5 * min_gap, 5e-17, 1e-300, math.ulp(0.0)]
@@ -516,24 +579,19 @@ class TestLevelRuns:
 
     def test_one_row_per_level_run(self, monkeypatch):
         rows = []
-        mesh_dp, full_dp = variation._mesh_dp, variation.var_dp
+        mesh_dp = variation._mesh_dp
 
-        def mesh_rows(values, firsts, until):
+        def mesh_rows(values, firsts, until, gauge):
             rows.append(values.shape[0])
-            return mesh_dp(values, firsts, until)
-
-        def full_rows(values, gauge, first=None):
-            rows.append(values.shape[0])
-            return full_dp(values, gauge, first)
+            return mesh_dp(values, firsts, until, gauge)
 
         monkeypatch.setattr(variation, "_mesh_dp", mesh_rows)
-        monkeypatch.setattr(variation, "var_dp", full_rows)
         levels = [1.0, 1.0, 1.0, 3.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 1.0]
-        for scale, per_bound in ((1.0, False), (20.0, True)):
+        for scale in (1.0, 20.0):  # pruned, then unpruned
             path = step_path(scale * np.array(levels))
             rows.clear()
             assert_qvar_identical(path, [math.inf, 0.3, 0.1])
-            assert rows == [5] * (3 if per_bound else 1)
+            assert rows == [5]
         rows.clear()
         path = generate(GeneratorSpec(kind="jump", n_samples=4097, jump_rate=300.0, jump_sigma=0.05, seed=5))
         assert var_phi(path, SQRT_TABLE) == oracle_dp(path.values, SQRT_TABLE.on_increments)
