@@ -174,11 +174,11 @@ class VariationFunctional:
         return self.kind
 
 
-# at this size, 2-vCPU VM: _mesh_dp on one unconstrained window 48-49 s unpruned
-# on fractional noise (a table that is not certified; qvar_profile's inf bound
-# at oscillation 20), 42 s pruned on a steady rise, where no left end is ever
-# dominated; var_phi 0.1 s on fractional noise, 3.7 s (p = 2.5) and 5.5 s (psi)
-# on a drift with small reversals (one deep stack)
+# at this size, 2-vCPU VM, CPU time of one run each: _mesh_dp on one
+# unconstrained window 21 s unpruned on fractional noise (a table that is not
+# certified), 30 s pruned on a steady rise to oscillation 10, where no left end
+# is ever dominated; var_phi 0.07 s on fractional noise, 2.3 s (p = 2.5) and
+# 4.1 s (psi) on a drift with small reversals (one deep stack)
 MAX_DP_SAMPLES = 1 << 16
 
 
@@ -192,10 +192,11 @@ def check_dp_samples(n: int) -> None:
 # [e^-e, 15], as log(log 15) < 1, and below e^-e a nondecreasing numerator
 # over a nonincreasing denominator; above e^e it dips by an ulp at places
 _PSI_MONOTONE_BELOW = 15.0
-_MESH_ROWS = 48  # right ends per block of _mesh_dp; 32-64 measure alike, 16 is 20% slower
-# meshes x rows x left ends per block of _mesh_dp, so its score array stays
-# near 64 KB unless one row passes it
-_DP_CELLS = 1 << 13
+_MESH_ROWS = 48  # right ends per block of _mesh_dp; 64 measures alike, 32 is 10% slower
+# rows x its 2 meshes - 1 rows x left ends per block of _mesh_dp, so its tiled
+# gauge array stays near 256 KB unless the fewest rows pass it
+_DP_CELLS = 1 << 15
+_MESH_MIN_ROWS = 4  # fewest right ends per block of _mesh_dp: they share its O(window) set-up
 # mesh bounds per _mesh_dp pass: its arrays grow with the bounds it serves
 _MESH_GROUP = 8
 
@@ -273,43 +274,52 @@ def _mesh_dp(values: np.ndarray, firsts: np.ndarray, until: np.ndarray, gauge: C
     x_j, so j serves no row after :func:`_undominated_until`'s index, and
     the candidates that remain give the same max.
 
-    Right ends go in blocks of :data:`_MESH_ROWS`, fewer when meshes times
-    rows times left ends would pass :data:`_DP_CELLS`.  The left ends of a
-    block are those before it that the widest window holds and that serve
-    its first row, and every sample inside it; one that dies inside the
-    block stays a candidate, which changes no max.  One gauge call scores
-    all their pairs with the block's rows, and a (rows x meshes x left
-    ends) array holds each score, or -inf where a left end is outside a
-    mesh's window.  The chain values of the block's own samples start at
-    -inf, which hides each from the rows up to its own.  Each row then
-    takes one add of the meshes' chain values and one ``fmax`` per mesh,
-    and writes its best into its column.  Chain and gauge values are >= 0
-    or ``inf``, so a valid candidate is never NaN; a hidden one is -inf, or
-    NaN where -inf meets an ``inf`` (warning off), and ``fmax`` skips NaN.
-    Every row has a valid candidate, its predecessor.  So each result is
-    the max of the sums the row-at-a-time DP forms over the undominated
-    left ends, and max is exact: bit-identical to that DP.  O(n x window)
-    time, O(meshes x n) memory.
+    Right ends go in blocks of :data:`_MESH_ROWS`, fewer when rows times 2
+    meshes - 1 times left ends would pass :data:`_DP_CELLS`, but at least
+    :data:`_MESH_MIN_ROWS`.  The left ends of a block are those before it
+    that the widest window holds and that serve its first row, then every
+    sample inside it, in increasing order; one that dies inside the block
+    stays a candidate, which changes no max.  One gauge call scores their
+    pairs with the block's rows.  The chain values lie in one contiguous
+    array, mesh m in row 2m and a scratch row between each two, with the
+    block's own samples at -inf, which hides each from the rows up to its
+    own; each gauge row is tiled to that layout once.  Mesh m's window at
+    right end i is the suffix of its row from ``searchsorted(cols, firsts[m,
+    i])``, so each right end takes one add and one ``fmax.reduceat`` whose
+    segments are the meshes' windows; the segments between them, a scratch
+    row and the next mesh's left ends outside its window, land in the
+    scratch rows.  Chain and gauge values are >= 0 or ``inf``, so a valid
+    candidate is never NaN; a hidden one is -inf, or NaN where -inf meets an
+    ``inf`` (warning off), and ``fmax`` skips NaN.  Every row has a valid
+    candidate, its predecessor.  So each result is the max of the sums the
+    row-at-a-time DP forms over the undominated left ends in its window, and
+    max is exact: bit-identical to that DP.  O(n x window) time, O(meshes x
+    n) memory.
     """
     meshes, n = firsts.shape
+    height = 2 * meshes - 1
+    lefts = np.zeros((n, height), dtype=np.intp)  # window starts; a scratch row's is all of it
+    lefts[:, ::2] = firsts.T
     best = np.zeros((meshes, n))
     s = 1
     while s < n:
         lo = firsts[0, s]  # the widest window
         live = np.flatnonzero(until[lo:s] >= s) + lo
         nl = live.size
-        rows = max(1, min(_MESH_ROWS, _DP_CELLS // (meshes * (nl + _MESH_ROWS))))
+        rows = min(_MESH_ROWS, max(_MESH_MIN_ROWS, _DP_CELLS // (height * (nl + _MESH_ROWS))))
         e = min(n, s + rows)
         cols = np.concatenate((live, np.arange(s, e)))
-        g = gauge(np.abs(values[s:e, None] - values[cols]))
-        score = np.where(cols >= firsts[:, s:e].T[:, :, None], g[:, None, :], -np.inf)
-        chain = np.full((meshes, cols.size), -np.inf)
-        chain[:, :nl] = best[:, live]
-        cand = np.empty_like(chain)
-        for row, out in zip(score, chain.T[nl:]):
-            np.fmax.reduce(np.add(chain, row, out=cand), axis=1, out=out)
-        best[:, s:e] = chain[:, nl:]
+        tiled = gauge(np.abs(values[s:e, None] - values[cols]))[:, None].repeat(height, axis=1)
+        chain = np.full((height, cols.size), -np.inf)
+        chain[::2, :nl] = best[:, live]
+        flat = chain.reshape(-1)
+        cand = np.empty_like(flat)
+        segs = np.searchsorted(cols, lefts[s:e]) + cols.size * np.arange(height)
+        for g_row, seg, out in zip(tiled.reshape(e - s, -1), segs, chain.T[nl:]):
+            np.fmax.reduceat(np.add(flat, g_row, out=cand), seg, out=out)
+        best[:, s:e] = chain[::2, nl:]
         s = e
+        del tiled, g_row  # free them before the next block's tiled array
     return best[:, -1].tolist()
 
 

@@ -27,6 +27,7 @@ from roughmarket.errors import BadStep, TooLarge
 from roughmarket.paths import discretize
 from roughmarket.variation import (
     _DP_CELLS,
+    _MESH_MIN_ROWS,
     _MESH_ROWS,
     _PSI_MONOTONE_BELOW,
     _STAR_ROWS,
@@ -254,14 +255,30 @@ def unpruned_dp(values, gauge):
     return variation._mesh_dp(values, np.zeros((1, n), dtype=np.intp), np.full(n, n), gauge)[0]
 
 
-def unconstrained_block_ends(n_max, cells=_DP_CELLS, rows=_MESH_ROWS):
-    """Where ``unpruned_dp``'s blocks end: a block starting at s scores s
-    left ends before it and has min(rows, cells // (s + rows)) rows, at
-    least one."""
+def checked_mesh_dp(values, firsts, gauge=psi):
+    """``_mesh_dp`` on hand-built windows, dropping no left end, against
+    ``dp_oracle`` mesh by mesh; returns the first right end of each block."""
+    n = values.shape[0]
+    rows = []
+
+    def gauge_rows(d):
+        rows.append(d.shape[0])
+        return gauge(d)
+
+    assert variation._mesh_dp(values, firsts, np.full(n, n), gauge_rows) == [
+        oracle_dp(values, gauge, first) for first in firsts
+    ]
+    return np.cumsum([1] + rows[:-1]).tolist()
+
+
+def unconstrained_block_ends(n_max, cells=_DP_CELLS, rows=_MESH_ROWS, least=_MESH_MIN_ROWS):
+    """Where ``unpruned_dp``'s blocks end on ``n_max`` samples: a block
+    starting at s scores s left ends before it and has cells // (s + rows)
+    rows, at least ``least`` and at most ``rows``, cut at the last sample."""
     ends = []
     s = 1
     while s < n_max:
-        s += max(1, min(rows, cells // (s + rows)))
+        s = min(n_max, s + min(rows, max(least, cells // (s + rows))))
         ends.append(s)
     return ends
 
@@ -354,9 +371,10 @@ class TestBlockedDP:
             assert_unconstrained_identical(path)
 
     def test_blocks_follow_the_cell_budget(self, monkeypatch):
-        budget, most = 64, 4
+        budget, most, least = 64, 4, 2
         monkeypatch.setattr(variation, "_DP_CELLS", budget)
         monkeypatch.setattr(variation, "_MESH_ROWS", most)
+        monkeypatch.setattr(variation, "_MESH_MIN_ROWS", least)
         shapes = []
 
         def gauge(d):
@@ -367,11 +385,51 @@ class TestBlockedDP:
         assert unpruned_dp(values, gauge) == oracle_dp(values, psi)
         # a block of r rows starting at s scores r x (s + r) increments
         blocks = [(rows, cols - rows) for rows, cols in shapes]
-        assert [s + rows for rows, s in blocks] == unconstrained_block_ends(100, budget, most)
+        assert [s + rows for rows, s in blocks] == unconstrained_block_ends(100, budget, most, least)
         assert any(rows == most for rows, s in blocks)  # limited by the rows
-        assert any(1 < rows < most for rows, s in blocks)  # limited by the budget
-        assert any(rows == 1 and s > budget for rows, s in blocks)  # one row
-        assert all(rows * cols <= budget for rows, cols in shapes if rows > 1)
+        assert any(least < rows < most for rows, s in blocks)  # limited by the budget
+        assert any(rows == least and rows * cols > budget for rows, cols in shapes)  # the fewest
+        assert all(rows * cols <= budget for rows, cols in shapes if rows > least)
+
+    def test_window_from_the_first_left_end_before_a_block(self):
+        # meshes 0 and 1 share their windows, so at a block's first right end
+        # s mesh 1's starts at the block's first left end, firsts[0, s]: the
+        # segment before it is its scratch row alone
+        i = np.arange(200)
+        wide = np.maximum(i - 30, 0)
+        firsts = np.array([wide, wide, np.maximum(i - 10, 0)])
+        values = np.random.default_rng(1).uniform(1.0, 2.0, 200)
+        starts = checked_mesh_dp(values, firsts)
+        assert any(firsts[1, s] == firsts[0, s] > 0 for s in starts)
+        # bounds at least the path's length: two windows of every left end
+        for scale in (1.0, 30.0):  # pruned, then unpruned
+            assert_qvar_identical(step_path(scale * values), [math.inf, 1.0, 0.05])
+
+    def test_window_from_the_first_sample_of_a_block(self):
+        # at right end s + 3, mesh 2's window starts at s, the block's first
+        # own sample, so every left end before the block is outside it
+        i = np.arange(200)
+        firsts = np.array([np.maximum(i - 40, 0), np.maximum(i - 12, 0), np.maximum(i - 3, 0)])
+        starts = checked_mesh_dp(np.random.default_rng(2).uniform(1.0, 2.0, 200), firsts)
+        assert any(e - s > 3 and s > 1 for s, e in zip(starts, starts[1:]))
+
+    @pytest.mark.parametrize("scale", (1.0, 30.0))  # pruned, then unpruned
+    def test_adjacent_only_bound_among_eight(self, scale, monkeypatch):
+        # the last of a full pass of bounds is below the finest gap: its
+        # window is each right end's predecessor, the layout's last segment
+        mesh_dp = variation._mesh_dp
+        passes = []
+
+        def counted(values, firsts, until, gauge):
+            passes.append(firsts)
+            return mesh_dp(values, firsts, until, gauge)
+
+        monkeypatch.setattr(variation, "_mesh_dp", counted)
+        path = step_path(scale * np.random.default_rng(3).uniform(1.0, 2.0, 200))
+        deltas = [math.inf, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.5 * float(np.diff(path.times).min())]
+        assert_qvar_identical(path, deltas)
+        assert [firsts.shape[0] for firsts in passes] == [len(deltas)] == [variation._MESH_GROUP]
+        assert passes[0][-1, 1:].tolist() == list(range(199))
 
 
 def floats_around(x, ulps):
