@@ -146,18 +146,33 @@ class GridLevel:
 _BLOCK_CELLS = 12 << 10  # counts per column block: 96 KiB per float64 temporary
 
 
-def _grid_held(values: np.ndarray, scale_exps, k_caps) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Held-unit counts of dyadic cell grids, one column block at a time.
+def _grid_rows(scale_exps, k_caps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of :func:`_grid_held`, read-only: row ``i`` counts the cells
+    ``k = 0..k_caps[i]-1`` at scale ``2**-scale_exps[i]``.
 
-    Row ``i`` counts the cells ``k = 0..k_caps[i]-1`` at scale
-    ``2**-scale_exps[i]`` that hold one unit.  Yields ``(a, b, held)`` with
-    ``held[i, t - a]`` (float64) after sample ``t`` for ``a <= t < b``; a
-    block has at least two samples unless ``values`` has one.
+    Returns each row's index into the distinct scales, the distinct scale
+    exponents in order of first appearance (an int32 column) and the cell
+    counts (a float64 column).
     """
     rank = {}
     row = np.array([rank.setdefault(j, len(rank)) for j in scale_exps], dtype=np.intp)
     js = np.array(list(rank), dtype=np.int32).reshape(-1, 1)  # np.ldexp has no fast int64 loop
-    caps = np.asarray(k_caps, dtype=np.float64).reshape(-1, 1)
+    caps = np.array(k_caps, dtype=np.float64).reshape(-1, 1)
+    for a in (row, js, caps):
+        a.setflags(write=False)
+    return row, js, caps
+
+
+def _grid_held(values: np.ndarray, rows) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Held-unit counts of dyadic cell grids, one column block at a time.
+
+    ``rows`` is :func:`_grid_rows` of the grids.  Yields ``(a, b, held)``
+    with ``held[i, t - a]`` (float64) the held count of row ``i`` after
+    sample ``t`` for ``a <= t < b``; a block has at least two samples unless
+    ``values`` has one.
+    """
+    row, js, caps = rows
+    coarse = bool((js < 0).any())  # a scale coarser than 1 can flush a price to 0
     n = values.shape[0]
     width = max(2, _BLOCK_CELLS // max(1, caps.shape[0]))
     edges = list(range(0, n, width))
@@ -172,7 +187,7 @@ def _grid_held(values: np.ndarray, scale_exps, k_caps) -> Iterator[tuple[int, in
     carry = 0
     for a, b in zip(edges, edges[1:]):
         q = np.ldexp(x[a : b + 1], js)  # one sample before the block
-        if min(rank, default=0) < 0:  # ldexp can flush a subnormal price to 0: keep it in cell 0
+        if coarse:  # ldexp can flush a subnormal price to 0: keep it in cell 0
             q[(q == 0.0) & (x[a : b + 1] > 0.0)] = 5e-324
         lo = np.floor(q)
         hi = np.ceil(q)
@@ -203,7 +218,7 @@ def doob_grid_held(values: np.ndarray, j_exp: int, k_caps) -> np.ndarray:
     """
     caps = np.asarray(k_caps, dtype=np.int64).reshape(-1)
     held = np.empty((caps.size, values.shape[0]), dtype=np.int64)
-    for a, b, block in _grid_held(values, [j_exp] * caps.size, caps):
+    for a, b, block in _grid_held(values, _grid_rows([j_exp] * caps.size, caps)):
         held[:, a:b] = block
     return held
 
@@ -217,9 +232,27 @@ class GridStrategyMixture:
     descriptor: str = ""
     scale_cut: int = 0  # largest simulated scale exponent
 
-    @property
+    # run_mixture's inputs, built once per mixture (not dataclass fields, so
+    # == and hash still see the fields only): the volatility-mixture tables
+    # are cached and run on many paths
+
+    @functools.cached_property
     def total_initial(self) -> float:
         return math.fsum(lv.initial_capital for lv in self.levels) + self.analytic_tail_capital
+
+    @functools.cached_property
+    def _run_plan(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """:func:`_grid_rows` of the levels grouped by scale in order of first
+        appearance, then in mixture order, and their weights as a read-only
+        column: np.add.reduce over axis 0 then adds rows one by one."""
+        rank = {}
+        for lv in self.levels:
+            rank.setdefault(lv.scale_exp, len(rank))
+        levels = sorted(self.levels, key=lambda lv: rank[lv.scale_exp])
+        weights = np.array([lv.cell_weight for lv in levels]).reshape(-1, 1)
+        weights.setflags(write=False)
+        rows = _grid_rows([lv.scale_exp for lv in levels], [lv.k_count for lv in levels])
+        return rows, weights
 
     @property
     def n_components(self) -> int:
@@ -242,17 +275,8 @@ def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
     """Capital of the weighted position sum; components stay >= 0, the sum finite."""
     position = np.zeros(path.n_samples, dtype=np.float64)
     if isinstance(mixture, GridStrategyMixture):
-        # sum the levels by scale in order of first appearance, then in
-        # mixture order: np.add.reduce over axis 0 adds rows one by one
-        rank = {}
-        for lv in mixture.levels:
-            rank.setdefault(lv.scale_exp, len(rank))
-        levels = sorted(mixture.levels, key=lambda lv: rank[lv.scale_exp])
-        weights = np.array([lv.cell_weight for lv in levels]).reshape(-1, 1)
-        blocks = _grid_held(
-            path.values, [lv.scale_exp for lv in levels], [lv.k_count for lv in levels]
-        )
-        for a, b, held in blocks:
+        rows, weights = mixture._run_plan
+        for a, b, held in _grid_held(path.values, rows):
             position[a:b] = np.add.reduce(np.multiply(held, weights, out=held), axis=0)
     else:
         for w, strat in mixture.components:

@@ -70,13 +70,15 @@ class PricePath:
             raise BadTimeGrid("times and values must have equal length")
         if times.shape[0] < 2:
             raise BadTimeGrid("a path needs at least two samples")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
+        # method reductions: the np.all / np.any / np.diff wrappers cost
+        # more than the work on short paths
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
             raise BadTimeGrid("non-finite entries")
         if times[0] != 0.0:
             raise BadTimeGrid("first time must be 0")
-        if not np.all(np.diff(times) > 0.0):
+        if not (times[1:] > times[:-1]).all():
             raise BadTimeGrid("times must be strictly increasing")
-        if np.any(values < 0.0):
+        if values.min() < 0.0:  # no NaN is left, and -0.0 passes
             raise NonPositiveValue("price samples must be >= 0")
 
     @property
@@ -186,11 +188,17 @@ def _is_number(x, integral: bool = False) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
+# each checked field with the type that passes it without _is_number
+_PLAIN_TYPES = tuple((name, int) for name in _INT_FIELDS) + tuple(
+    (name, float) for name in _REAL_FIELDS
+)
+
+
 def _check_types(spec: GeneratorSpec) -> None:
-    for name in _INT_FIELDS + _REAL_FIELDS:
+    for name, plain in _PLAIN_TYPES:
         value = getattr(spec, name)
-        if not _is_number(value, integral=name in _INT_FIELDS):
-            what = "an integer" if name in _INT_FIELDS else "a number"
+        if type(value) is not plain and not _is_number(value, integral=plain is int):
+            what = "an integer" if plain is int else "a number"
             raise BadSpec(f"{name} must be {what}, got {value!r}")
     for name in ("values", "times"):
         seq = getattr(spec, name)
@@ -291,11 +299,16 @@ def fractional_gaussian_noise(n: int, hurst: float, rng: np.random.Generator) ->
     return np.fft.fft(w, out=w).real[:n].copy()  # a view would keep the 2M buffer
 
 
+def _rng(spec: GeneratorSpec) -> np.random.Generator:
+    # built by the kinds that draw only: default_rng costs more than a
+    # whole constant or linear-drift path
+    return np.random.default_rng(np.uint64(spec.seed))
+
+
 def generate(spec: GeneratorSpec) -> PricePath:
     """Build the path described by ``spec`` on a uniform grid."""
     _validate_spec(spec)
     T = spec.horizon
-    rng = np.random.default_rng(np.uint64(spec.seed))
 
     if spec.kind == "custom-steps":
         values = np.asarray(spec.values, dtype=np.float64)
@@ -314,14 +327,15 @@ def generate(spec: GeneratorSpec) -> PricePath:
     elif spec.kind == "linear-drift":
         values = spec.start + spec.eps * times
     elif spec.kind == "geometric-random-walk":
-        z = rng.standard_normal(n - 1)
+        z = _rng(spec).standard_normal(n - 1)
         log_inc = spec.drift * dt + spec.sigma * np.sqrt(dt) * z
         values = spec.start * np.exp(np.concatenate([[0.0], np.cumsum(log_inc)]))
     elif spec.kind == "exp-fractional":
-        fgn = fractional_gaussian_noise(n - 1, spec.hurst, rng)
+        fgn = fractional_gaussian_noise(n - 1, spec.hurst, _rng(spec))
         log_path = np.concatenate([[0.0], np.cumsum(fgn)]) * (dt**spec.hurst) * spec.sigma
         values = spec.start * np.exp(log_path)
     elif spec.kind == "jump":
+        rng = _rng(spec)
         counts = rng.poisson(spec.jump_rate * dt, size=n - 1)
         sizes = np.where(
             counts > 0,

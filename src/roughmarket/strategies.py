@@ -213,10 +213,13 @@ def self_financing(initial: float, position: np.ndarray, values: np.ndarray) -> 
     :func:`mixtures.run_mixture`.  Overflow gives inf and inf - inf NaN,
     silently: the callers check the result.
     """
-    gains = np.zeros(values.shape[0])
+    gains = np.empty(values.shape[0])
+    gains[:1] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        gains[1:] = position[:-1] * np.diff(values)
-        return np.cumsum(gains) + initial
+        np.multiply(position[:-1], values[1:] - values[:-1], out=gains[1:])
+        capital = gains.cumsum()
+        capital += initial
+    return capital
 
 
 def _run(strategy: SimpleStrategy, path: PricePath) -> CapitalTrace:

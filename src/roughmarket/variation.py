@@ -138,11 +138,13 @@ class VariationFunctional:
             return psi(d)
         uu, vv = self._nodes
         out = np.interp(d, uu, vv)
-        # continue the last segment linearly beyond the table
-        beyond = d > uu[-1]
-        if beyond.any():
+        # continue the last segment linearly beyond the table, on those
+        # increments only (np.interp returns a scalar for a scalar d)
+        beyond = np.flatnonzero(d > uu[-1])
+        if beyond.size:
             slope = (vv[-1] - vv[-2]) / (uu[-1] - uu[-2])
-            out = np.where(beyond, vv[-1] + slope * (d - uu[-1]), out)
+            out = np.asarray(out)
+            out.put(beyond, vv[-1] + slope * (np.asarray(d).take(beyond) - uu[-1]))
         return out
 
     def __call__(self, u):

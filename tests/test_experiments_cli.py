@@ -28,7 +28,7 @@ from roughmarket import (
 )
 from roughmarket import experiments
 from roughmarket.cli import main
-from roughmarket.errors import CaseFailure, ConfigError, UnknownSeries
+from roughmarket.errors import CaseFailure, ConfigError, NonFiniteResult, UnknownSeries
 from roughmarket.experiments import canonical_json, report_canonical_bytes
 from roughmarket.paths import MAX_SAMPLES, _write_file
 
@@ -138,6 +138,98 @@ class TestSuites:
             run_experiment(
                 ExperimentConfig(kind="oracle-suite", seeds=(1,)), raise_on_failure=True
             )
+
+
+# canonical_json's reference: the json module's own sorted, indented, strict encoder
+REFERENCE_JSON = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False)
+SUITE_PARAMS = {
+    "prop3-check": {"eps": [1.0], "delta": [0.5], "N": [16, 64]},
+    "growth-profile": {"p": [2.0, 2.5], "N": [16, 32]},
+}
+
+
+def _payload(report) -> dict:
+    return {
+        "config": report.config,
+        "cases": report.cases,
+        "summary": report.summary,
+        "series": report.series,
+        "version": report.version,
+    }
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("kind", experiments.EXPERIMENT_KINDS)
+    def test_suite_payloads(self, kind):
+        params = SUITE_PARAMS.get(kind, {})
+        for seeds in ((1,), (2, 7)):
+            payload = _payload(run_experiment(ExperimentConfig(kind=kind, seeds=seeds, params=params)))
+            assert canonical_json(payload) == REFERENCE_JSON.encode(payload)
+
+    EDGES = [
+        {}, [], (), "", None, True, 0, -0.0, 1.5, 10**30, np.float64(0.1),
+        {"a": {}, "b": [], "c": ()},
+        [[], {}, [[]], [{}]],
+        (1, (2, 3), [4, (5,)]),
+        {"t": (1.5, 2), "u": [True, False, None]},
+        [1e308, 5e-324, -1e-300, np.float64(-0.0)],
+        {1: "a", 2: [1], 0.5: {"x": 1}},
+        {1.5: 2, 0.25: [True, None], -3: None},
+        {True: 1, False: [2]},
+        {None: [1]},
+        {"é": "ü☃", "\n\"\\": ["\t", "\u2028"], "z": {"ß": "\x00"}},
+        {"x": [{"y": [[{}]]}], "a": {"b": {"c": {"d": [1, {"e": [2, [3]]}]}}}},
+        [np.float64(3.3), {"k": np.float64(-0.0)}, {np.float64(2.5): [np.float64(1.0)], 1: 0}],
+        {"medians": "[1.0, 2.0]", "brackets": "{[}]", "sep": ",\n  "},
+    ]
+
+    @pytest.mark.parametrize("payload", EDGES, ids=range(len(EDGES)))
+    def test_edge_payloads(self, payload):
+        assert canonical_json(payload) == REFERENCE_JSON.encode(payload)
+
+    def test_valid_payloads_skip_the_pure_python_encoder(self, monkeypatch):
+        class Refuses(json.JSONEncoder):
+            def encode(self, o):
+                raise AssertionError("pure-Python encoder used")
+
+        expected = [REFERENCE_JSON.encode(p) for p in self.EDGES]
+        monkeypatch.setattr(experiments, "_CANONICAL", Refuses(sort_keys=True, indent=1, allow_nan=False))
+        assert [canonical_json(p) for p in self.EDGES] == expected
+
+    @pytest.mark.parametrize(
+        "payload, shown",
+        [
+            (math.nan, "nan"),
+            ({"a": math.inf}, "inf"),
+            ([1, [-math.inf]], "-inf"),
+            ({"a": {"b": [np.float64("nan")]}}, "np.float64(nan)"),
+            ({math.nan: 1}, "nan"),
+            ({math.inf: [1]}, "inf"),
+        ],
+    )
+    def test_non_finite_values(self, payload, shown):
+        with pytest.raises(NonFiniteResult) as e:
+            canonical_json(payload)
+        assert str(e.value) == (
+            "a result is not finite, so JSON cannot hold it "
+            f"(Out of range float values are not JSON compliant: {shown})"
+        )
+
+    @pytest.mark.parametrize(
+        "payload", [{"a": np.int64(3)}, {(1, 2): 3}, {"a": [{1, 2}]}, {True: 1, None: 2}, {(1,): [2]}]
+    )
+    def test_other_errors_are_the_json_modules(self, payload):
+        with pytest.raises(TypeError) as ours:
+            canonical_json(payload)
+        with pytest.raises(TypeError) as reference:
+            REFERENCE_JSON.encode(payload)
+        assert str(ours.value) == str(reference.value)
+
+    def test_cycles(self):
+        cycle = []
+        cycle.append(cycle)
+        with pytest.raises(NonFiniteResult, match="Circular reference detected"):
+            canonical_json({"a": cycle})
 
 
 class TestReportDeterminism:

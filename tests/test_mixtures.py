@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import warnings
 from collections import Counter
 
@@ -7,6 +9,7 @@ import pytest
 
 from roughmarket import (
     AtIndex,
+    GeneratorSpec,
     GridLevel,
     GridStrategyMixture,
     SimpleStrategy,
@@ -14,6 +17,7 @@ from roughmarket import (
     VariationFunctional,
     crossing_explosion_mixture,
     doob_strategy,
+    generate,
     grid_crossings,
     run_mixture,
     run_simple,
@@ -245,6 +249,48 @@ class TestMixtureTables:
         assert mixtures._prop1_table.cache_info().hits + mixtures._prop3_table.cache_info().hits
 
 
+class TestRunPlan:
+    """A grid mixture builds run_mixture's inputs once; they are no fields."""
+
+    def test_built_once_per_mixture(self, monkeypatch):
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=257, seed=4, sigma=0.5))
+        mix = volatility_mixture(None, 1, path_hint=path, kind="prop3", eps=0.5, delta=0.5)
+        first = run_mixture(mix, path)
+        calls = []
+        grid_rows = mixtures._grid_rows
+        monkeypatch.setattr(mixtures, "_grid_rows", lambda *a: calls.append(a) or grid_rows(*a))
+        cached = volatility_mixture(None, 1, path_hint=path, kind="prop3", eps=0.5, delta=0.5)
+        assert cached is mix
+        again = run_mixture(cached, path)
+        assert calls == []
+        for name in ("capital", "position", "cash"):
+            assert np.array_equal(getattr(first, name), getattr(again, name))
+        assert again.initial_capital == mix.total_initial
+        cells = math.fsum(lv.initial_capital for lv in mix.levels)
+        assert mix.total_initial == cells + mix.analytic_tail_capital
+        rows, weights = mix._run_plan
+        for a in (*rows, weights):
+            assert not a.flags.writeable
+
+    def test_plan_is_not_a_field(self):
+        levels = (GridLevel(0, 1, 2, 0.25), GridLevel(0, 0, 1, 0.5), GridLevel(1, 1, 4, 0.125))
+        built = GridStrategyMixture(levels=levels, analytic_tail_capital=0.125)
+        fresh = GridStrategyMixture(levels=levels, analytic_tail_capital=0.125)
+        run_mixture(built, step_path([0.5, 1.25, 0.0, 2.0]))
+        assert "_run_plan" in vars(built) and "_run_plan" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert [f.name for f in dataclasses.fields(built)] == [
+            "levels", "analytic_tail_capital", "descriptor", "scale_cut"
+        ]
+        (row, js, caps), weights = built._run_plan
+        # grouped by scale in order of first appearance, then in mixture order
+        assert row.tolist() == [0, 0, 1] and js.ravel().tolist() == [1, 0]
+        assert caps.ravel().tolist() == [2.0, 4.0, 1.0] and weights.ravel().tolist() == [0.25, 0.125, 0.5]
+        again = pickle.loads(pickle.dumps(built))
+        assert again == built
+        assert np.array_equal(again._run_plan[1], weights)
+
+
 class TestGridAgainstExplicit:
     def test_prop1_trace_equality(self):
         rng = np.random.default_rng(2024)
@@ -444,7 +490,7 @@ class TestGridBlocks:
             for values in paths:
                 for j in (-1, 0, 1, 3):
                     caps = (1, 3, 9)
-                    blocks = list(mixtures._grid_held(values, [j] * 3, caps))
+                    blocks = list(mixtures._grid_held(values, mixtures._grid_rows([j] * 3, caps)))
                     assert len(blocks) >= 3
                     assert all(b - a >= 2 for a, b, _ in blocks)
                     for k_cap, held in zip(caps, doob_grid_held(values, j, caps), strict=True):

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from roughmarket import (
     GeneratorSpec,
+    PricePath,
     discretize,
     generate,
     make_path,
@@ -62,6 +66,149 @@ class TestMakePath:
         assert p.value_at(1.0) == 3.0
         with pytest.raises(BadTimeGrid):
             p.value_at(1.5)
+
+
+class TestPricePathValidation:
+    """Every check keeps its error class and message, in this order: shape,
+    non-finite entries, first time, order, sign."""
+
+    @staticmethod
+    def raised(times, values):
+        with pytest.raises((BadTimeGrid, NonPositiveValue)) as e:
+            PricePath(np.asarray(times, dtype=float), np.asarray(values, dtype=float))
+        return type(e.value), str(e.value)
+
+    def test_errors_and_their_order(self):
+        nan, inf = math.nan, math.inf
+        cases = [
+            ([[0.0, 1.0]], [[1.0, 1.0]], BadTimeGrid, "times and values must be one-dimensional"),
+            ([0.0, 1.0], [1.0, 1.0, 1.0], BadTimeGrid, "times and values must have equal length"),
+            ([0.0], [1.0], BadTimeGrid, "a path needs at least two samples"),
+            ([0.0, nan, 1.0], [1.0, 1.0, 1.0], BadTimeGrid, "non-finite entries"),
+            ([0.0, 1.0, inf], [1.0, 1.0, 1.0], BadTimeGrid, "non-finite entries"),
+            ([0.0, 1.0], [1.0, -inf], BadTimeGrid, "non-finite entries"),
+            ([0.0, 1.0], [nan, 1.0], BadTimeGrid, "non-finite entries"),
+            # non-finite before first time, order and sign
+            ([0.5, 0.25, nan], [-1.0, 1.0, 1.0], BadTimeGrid, "non-finite entries"),
+            ([1.0, 0.5], [-1.0, nan], BadTimeGrid, "non-finite entries"),
+            ([0.5, 1.0], [1.0, 1.0], BadTimeGrid, "first time must be 0"),
+            ([-0.0, 1.0], [1.0, 1.0], None, None),  # -0.0 == 0.0
+            # first time before order and sign
+            ([1.0, 0.5], [-1.0, 1.0], BadTimeGrid, "first time must be 0"),
+            ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], BadTimeGrid, "times must be strictly increasing"),
+            ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], BadTimeGrid, "times must be strictly increasing"),
+            ([0.0, -1.0], [1.0, 1.0], BadTimeGrid, "times must be strictly increasing"),
+            # order before sign
+            ([0.0, 1.0, 1.0], [1.0, -1.0, 1.0], BadTimeGrid, "times must be strictly increasing"),
+            ([0.0, 1.0], [1.0, -5e-324], NonPositiveValue, "price samples must be >= 0"),
+            ([0.0, 1.0, 2.0], [-1.0, 2.0, 3.0], NonPositiveValue, "price samples must be >= 0"),
+        ]
+        for times, values, error, message in cases:
+            if error is None:
+                PricePath(np.asarray(times), np.asarray(values))
+            else:
+                assert self.raised(times, values) == (error, message), (times, values)
+
+    def test_accepted_edges(self):
+        # a subnormal step is still an increase; -0.0 is a price >= 0
+        p = PricePath(np.array([0.0, 5e-324, 1.0]), np.array([-0.0, 0.0, 1e308]))
+        assert p.times[1] == 5e-324
+        assert math.copysign(1.0, p.values[0]) == -1.0
+        PricePath(np.array([0.0, 1e308]), np.array([1.0, 1.0]))
+        with pytest.raises(BadTimeGrid, match="strictly increasing"):
+            PricePath(np.array([0.0, 5e-324, 5e-324]), np.ones(3))
+
+    def test_inputs_are_copied_and_frozen(self):
+        times = np.array([0.0, 0.5, 1.0])
+        values = np.array([1.0, 2.0, 3.0])
+        p = PricePath(times, values)
+        assert not np.shares_memory(p.times, times) and not np.shares_memory(p.values, values)
+        assert times.flags.writeable and values.flags.writeable
+        times[1] = 0.75
+        values[0] = 9.0
+        assert list(p.times) == [0.0, 0.5, 1.0] and list(p.values) == [1.0, 2.0, 3.0]
+        for a in (p.times, p.values):
+            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        q = PricePath([0, 1], [1, 2])  # lists and integers become float64 arrays
+        assert q.times.dtype == np.float64 and q.values.dtype == np.float64
+
+
+# sha256 (first 16 hex digits) of times.tobytes() + values.tobytes(), recorded
+# before generate built its RNG only for the kinds that draw (numpy 2.4's
+# Generator streams)
+GENERATED = [
+    ("8b13c5aa13f59326", dict(kind="constant", n_samples=5, level=2.5)),
+    ("eb5c24fd1300f2f3", dict(kind="constant", n_samples=101, horizon=0.5)),
+    ("275afd971ac1853e", dict(kind="linear-drift", n_samples=3, eps=1.0)),
+    ("a91589d6257a7b9e", dict(kind="linear-drift", n_samples=101, eps=-1.0, horizon=0.5, seed=9)),
+    ("0b9b780010d99c13", dict(kind="geometric-random-walk", n_samples=2, seed=0)),
+    ("bf549920abfeb1a0", dict(kind="geometric-random-walk", n_samples=101, seed=7, sigma=0.4, drift=0.1)),
+    ("edc78f9c10f0e2b0", dict(kind="exp-fractional", n_samples=2, seed=1, hurst=0.3)),
+    ("bd3db58e7c32f539", dict(kind="exp-fractional", n_samples=257, seed=7, hurst=0.4, sigma=0.5)),
+    ("422adbd9b7295d45", dict(kind="jump", n_samples=3, seed=2)),
+    (
+        "671e24e60b3b72f2",
+        dict(kind="jump", n_samples=101, seed=7, jump_rate=30.0, jump_mean=0.01, jump_sigma=0.2),
+    ),
+    ("035e2ee23a67e731", dict(kind="custom-steps", n_samples=0, values=(1.0, 2.0, 0.5))),
+    (
+        "2029c17b963797bd",
+        dict(kind="custom-steps", n_samples=0, values=(1.0, 0.0, 3.0), times=(0.0, 0.25, 2.0), horizon=2.0),
+    ),
+]
+
+
+def generated_digest(spec: dict) -> str:
+    p = generate(GeneratorSpec(**spec))
+    return hashlib.sha256(p.times.tobytes() + p.values.tobytes()).hexdigest()[:16]
+
+
+class TestGeneratePins:
+    @pytest.mark.parametrize(
+        "digest, spec", GENERATED, ids=[f"{d['kind']}-{d['n_samples']}" for _, d in GENERATED]
+    )
+    def test_values_are_unchanged(self, digest, spec):
+        assert generated_digest(spec) == digest
+
+    def test_deterministic_kinds_build_no_rng(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        for digest, spec in GENERATED:
+            if spec["kind"] in ("constant", "linear-drift", "custom-steps"):
+                assert generated_digest(spec) == digest
+            else:
+                with pytest.raises(AssertionError, match="default_rng called"):
+                    generate(GeneratorSpec(**spec))
+
+    def test_type_verdicts(self):
+        ok = [
+            dict(n_samples=np.int64(3)),
+            dict(seed=np.uint64(2**64 - 1)),
+            dict(horizon=2),
+            dict(level=np.float32(1.5)),
+            dict(start=np.int8(1)),
+            dict(eps=2**1023),
+        ]
+        for fields in ok:
+            _validate_spec(GeneratorSpec(**{"kind": "constant", "n_samples": 3, **fields}))
+        bad = [
+            (dict(n_samples=3.0), "n_samples must be an integer, got 3.0"),
+            (dict(n_samples=True), "n_samples must be an integer, got True"),
+            (dict(seed=np.float64(1.0)), "seed must be an integer, got np.float64(1.0)"),
+            (dict(horizon=False), "horizon must be a number, got False"),
+            (dict(level="1"), "level must be a number, got '1'"),
+            (dict(eps=2**1024), f"eps must be a number, got {2**1024}"),
+            (dict(jump_sigma=None), "jump_sigma must be a number, got None"),
+            (dict(n_samples=3.5, horizon="x"), "n_samples must be an integer, got 3.5"),
+        ]
+        for fields, message in bad:
+            with pytest.raises(BadSpec) as e:
+                _validate_spec(GeneratorSpec(**{"kind": "constant", "n_samples": 3, **fields}))
+            assert str(e.value) == message
 
 
 class TestGenerate:

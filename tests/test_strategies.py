@@ -19,7 +19,7 @@ from roughmarket import (
 )
 from roughmarket.errors import BadInterval, BadPosition, RuleOverflow, ZeroPrice
 from roughmarket.mixtures import crossing_explosion_mixture, unboundedness_mixture
-from roughmarket.strategies import CapitalTrace, first_violation
+from roughmarket.strategies import CapitalTrace, first_violation, self_financing
 
 from conftest import random_positive_path, step_path
 from strategy_oracle import run_simple as oracle_run
@@ -225,6 +225,27 @@ class TestEngineOracle:
         assert list(trace.position) == [1.0, 0.0] * 3
         assert trace.capital[1] == 1.7e308
         assert trace.final_capital == math.inf and trace.min_capital == 0.5
+
+
+class TestSelfFinancing:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e300, 1e300), st.floats(0.0, 1.7e308)), min_size=1, max_size=40
+        ),
+        st.floats(-1e3, 1e3),
+        st.booleans(),
+    )
+    def test_is_the_cumsum_of_the_gains_plus_initial(self, samples, initial, integral):
+        position = np.array([h for h, _ in samples])
+        if integral:  # held-unit counts, as the grid kernel makes them
+            position = np.trunc(np.clip(position, -1e15, 1e15)).astype(np.int64)
+        values = np.array([x for _, x in samples])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.cumsum(np.append(0.0, position[:-1] * np.diff(values))) + initial
+        got = self_financing(initial, position, values)  # and warns of nothing
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestDoob:

@@ -780,6 +780,31 @@ class TestVarSigned:
         assert var_p(step_path([0.0, 1.7e308, 0.0]), 1.0) == math.inf
 
 
+class TestTableGauge:
+    TABLES = (SQRT_TABLE, VariationFunctional.from_table(DIP_TABLE_U, DIP_TABLE_PHI), STAR_GAUGES[-1])
+
+    @staticmethod
+    def whole_array(phi, d):
+        # the continuation past the last node, formed on every increment
+        uu, vv = np.array(phi.table_u), np.array(phi.table_phi)
+        slope = (vv[-1] - vv[-2]) / (uu[-1] - uu[-2])
+        return np.where(d > uu[-1], vv[-1] + slope * (d - uu[-1]), np.interp(d, uu, vv))
+
+    @pytest.mark.parametrize("phi", TABLES, ids=["sqrt", "dips", "convex"])
+    def test_continuation_on_the_beyond_increments_only(self, phi):
+        last = phi.table_u[-1]
+        d = np.concatenate(
+            [np.linspace(0.0, 3.0 * last, 301), floats_around(last, 40), [math.inf, 1e300, 0.0]]
+        )
+        rng = np.random.default_rng(8)
+        for x in (d, rng.permutation(d).reshape(5, -1), rng.permutation(d)[::3], d[d <= last]):
+            out = phi.on_increments(x)
+            assert out.shape == x.shape
+            assert np.array_equal(out, self.whole_array(phi, x))
+        for x in (0.5 * last, last, np.nextafter(last, math.inf), 2.0 * last, math.inf):
+            assert phi(x) == self.whole_array(phi, np.float64(x))
+
+
 class TestPsi:
     def test_fixed_points(self):
         assert psi(0.0) == 0.0
