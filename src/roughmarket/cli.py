@@ -196,7 +196,7 @@ def _cmd_borrow_check(args) -> int:
 
 def _cmd_unbounded(args) -> int:
     path = read_path(args.path)
-    mix = unboundedness_mixture(args.m_max, float(path.values[0]))
+    mix = unboundedness_mixture(args.m_max)
     trace = run_mixture(mix, path)
     _json_out(
         {

@@ -1,18 +1,20 @@
 """Countable strategy mixtures and their exact capital accounting.
 
-Two representations:
+A weighted sum of self-financing strategies is the self-financing strategy
+holding the weighted sum of the positions.  So each mixture returns its
+summed position on a path, and :func:`run_mixture` forms the one capital
+process from it, starting exactly at the mixture's initial capital:
 
-* :class:`StrategyMixture` holds explicit (weight, strategy) components and
-  is executed component by component.
 * :class:`GridStrategyMixture` describes dyadic families of buy-low/sell-high
   band strategies.  One closed-form grid kernel counts the held cells of
   every level from the lowest held cell of each scale, all scales in one
-  blocked pass over the path; :func:`run_mixture` sums the counts in one
-  weighted pass and :func:`doob_grid_held` reads them for one scale.
-
-A weighted sum of self-financing strategies is the self-financing strategy
-holding the weighted sum of the positions: :func:`run_mixture` forms its one
-capital process, which starts exactly at the mixture's initial capital.
+  blocked pass over the path, and the position sums the counts in one
+  weighted pass.
+* :class:`UnboundednessMixture` bets that the path never reaches each
+  threshold 2^m; its position is a sum over the thresholds that the running
+  maximum has not reached.
+* :class:`CrossingMixture` trades bands that stop once their capital reaches
+  a cap; its position sums the band strategies' positions up to each cap.
 
 Grid scales are powers of two, so ``x * 2**j`` is an exponent shift and
 exact in float64: cell-boundary comparisons involve no rounding, the held
@@ -46,11 +48,8 @@ from .errors import (
 )
 from .paths import PricePath, discretize
 from .strategies import (
-    AtIndex,
     BorrowReport,
     CapitalTrace,
-    HitAbove,
-    SimpleStrategy,
     doob_strategy,
     first_violation,
     run_simple,
@@ -59,9 +58,7 @@ from .strategies import (
 from .variation import VariationFunctional, check_dp_samples, phi_admissible, var_p
 
 __all__ = [
-    "StrategyMixture",
     "GridLevel",
-    "doob_grid_held",
     "GridStrategyMixture",
     "Mixture",
     "run_mixture",
@@ -75,29 +72,6 @@ __all__ = [
 
 _NEG_TOL = 1e-9
 CELL_BUDGET = 1 << 25  # simulated cells per mixture; finer scales fold into the tail
-MAX_COMPONENTS = 1 << 16  # banded components that iter_components materializes
-
-
-@dataclass(frozen=True)
-class StrategyMixture:
-    """Weighted finite family of simple strategies plus a constant tail."""
-
-    components: tuple[tuple[float, SimpleStrategy], ...]
-    analytic_tail_capital: float = 0.0
-    descriptor: str = ""
-
-    def __post_init__(self):
-        if any(w <= 0.0 or not math.isfinite(w) for w, _s in self.components):
-            raise BadWeights("component weights must be positive and finite")
-        if self.analytic_tail_capital < 0.0:
-            raise BadWeights("tail capital must be >= 0")
-
-    @property
-    def total_initial(self) -> float:
-        return (
-            math.fsum(w * s.initial_capital for w, s in self.components)
-            + self.analytic_tail_capital
-        )
 
 
 @dataclass(frozen=True)
@@ -209,20 +183,6 @@ def _grid_held(values: np.ndarray, rows) -> Iterator[tuple[int, int, np.ndarray]
         yield a, b, held
 
 
-def doob_grid_held(values: np.ndarray, j_exp: int, k_caps) -> np.ndarray:
-    """Held-unit counts of dyadic cell grids at one scale, one row per cell count.
-
-    ``j_exp`` is the scale exponent (cell height ``2**-j_exp``; may be
-    negative); row ``i`` holds, after every sample, the number of cells
-    ``k = 0..k_caps[i]-1`` that hold one unit.
-    """
-    caps = np.asarray(k_caps, dtype=np.int64).reshape(-1)
-    held = np.empty((caps.size, values.shape[0]), dtype=np.int64)
-    for a, b, block in _grid_held(values, _grid_rows([j_exp] * caps.size, caps)):
-        held[:, a:b] = block
-    return held
-
-
 @dataclass(frozen=True)
 class GridStrategyMixture:
     """Dyadic band-trading mixture with analytic tail accounting."""
@@ -258,43 +218,102 @@ class GridStrategyMixture:
     def n_components(self) -> int:
         return sum(lv.k_count for lv in self.levels)
 
-    def iter_components(self) -> Iterator[tuple[float, SimpleStrategy]]:
-        """Materialize the banded components (at most :data:`MAX_COMPONENTS`)."""
-        if self.n_components > MAX_COMPONENTS:
-            raise ValueError(f"{self.n_components} components exceed {MAX_COMPONENTS}")
-        for lv in self.levels:
-            h = lv.cell_height
-            for k in range(lv.k_count):
-                yield lv.cell_weight, doob_strategy(k * h, (k + 1) * h)
+    def position(self, path: PricePath) -> np.ndarray:
+        """The cell weights times the levels' held counts, summed after every sample."""
+        position = np.zeros(path.n_samples, dtype=np.float64)
+        rows, weights = self._run_plan
+        for a, b, held in _grid_held(path.values, rows):
+            position[a:b] = np.add.reduce(np.multiply(held, weights, out=held), axis=0)
+        return position
 
 
-Mixture = Union[StrategyMixture, GridStrategyMixture]
+@dataclass(frozen=True)
+class UnboundednessMixture:
+    """Weighted bets that the path never reaches each threshold 2^m, m = 1..m_max.
+
+    Component m has weight 2^-m.  It invests one unit of cash at time 0, so
+    it holds h1 = 1/start units (one unit when the start price is 0), and
+    liquidates at the first sample at or above 2^m.  While it holds, its
+    capital is 1 + h1 (x_t - start): x_t / start, or 1 + x_t from a zero
+    start, so it stays >= 0 on a path >= 0.
+    """
+
+    m_max: int
+
+    @property
+    def descriptor(self) -> str:
+        return f"unboundedness(m<={self.m_max})"
+
+    @property
+    def total_initial(self) -> float:
+        return 1.0 - 2.0**-self.m_max
+
+    def position(self, path: PricePath) -> np.ndarray:
+        """The held components' 2^-m h1, added in component order after every sample."""
+        start = float(path.values[0])
+        h1 = 1.0 if start == 0.0 else 1.0 / start  # inf from a subnormal start
+        # with 2^(e-1) <= running max < 2^e (frexp's exponent e), the
+        # components m >= e hold; m_max + 1 stands for none
+        first = np.frexp(np.maximum.accumulate(path.values))[1].clip(1, self.m_max + 1)
+        terms = np.append(h1 * 0.5 ** np.arange(1, self.m_max + 1), 0.0)
+        held = np.zeros(self.m_max + 2)
+        for m in np.unique(first):  # a left fold: np.cumsum adds in order
+            held[m] = terms[m - 1 :].cumsum()[-1]
+        return held[first]
+
+
+@dataclass(frozen=True)
+class CrossingMixture:
+    """Band strategies on ``intervals`` with ``weights``, each capped at 1/weight.
+
+    A band's position is that of :func:`strategies.doob_strategy` up to the
+    first sample at which that strategy's capital reaches 1/weight, and 0
+    from there: a band that reaches its cap stops trading, so it fires
+    finitely often.  Capped or not, a band's capital stays >= 0 on a path
+    >= 0.
+    """
+
+    intervals: tuple[tuple[float, float], ...]
+    weights: tuple[float, ...]
+    descriptor = "crossing-explosion"  # not a field
+
+    @property
+    def total_initial(self) -> float:
+        return math.fsum(w * a for (a, _b), w in zip(self.intervals, self.weights))
+
+    def position(self, path: PricePath) -> np.ndarray:
+        """The capped bands' weighted positions, added in band order."""
+        position = np.zeros(path.n_samples, dtype=np.float64)
+        for (a, b), w in zip(self.intervals, self.weights):
+            trace = run_simple(doob_strategy(a, b), path)
+            capped = trace.capital >= 1.0 / w
+            if capped.any():
+                trace.position[capped.argmax() :] = 0.0
+            position += w * trace.position
+        return position
+
+
+Mixture = Union[GridStrategyMixture, UnboundednessMixture, CrossingMixture]
 
 
 def run_mixture(mixture: Mixture, path: PricePath) -> CapitalTrace:
-    """Capital of the weighted position sum; components stay >= 0, the sum finite."""
-    position = np.zeros(path.n_samples, dtype=np.float64)
-    if isinstance(mixture, GridStrategyMixture):
-        rows, weights = mixture._run_plan
-        for a, b, held in _grid_held(path.values, rows):
-            position[a:b] = np.add.reduce(np.multiply(held, weights, out=held), axis=0)
-    else:
-        for w, strat in mixture.components:
-            trace = run_simple(strat, path)
-            if trace.min_capital < -_NEG_TOL * max(1.0, abs(trace.initial_capital)):
-                raise NegativeComponent(
-                    f"component {strat.describe()} reached capital {trace.min_capital}"
-                )
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                position += w * trace.position
+    """Capital of the mixture's summed position, from its initial capital.
+
+    Raises :class:`BadPosition` if the position or the capital is not
+    finite, and :class:`NegativeComponent` if the capital goes below 0 by
+    more than ``1e-9 * max(1, peak capital)``, the scale of its cancellation
+    error.  Every family's components stay >= 0 on a path >= 0, so the latter
+    guards the implementation.
+    """
+    position = mixture.position(path)
     s0 = mixture.total_initial
     capital = self_financing(s0, position, path.values)
-    if not np.isfinite(position).all() or np.isnan(capital[-1]):
+    # an overflowed capital stays inf or turns NaN, so the last sample tells
+    if not np.isfinite(position).all() or not np.isfinite(capital[-1]):
         raise BadPosition(f"{mixture.descriptor}: the summed position or its gains overflow")
-    # grid cells are individually positive on positive paths (they buy at or
-    # below their cash level); the aggregate check guards the implementation
-    if isinstance(mixture, GridStrategyMixture) and capital.min() < -_NEG_TOL * max(1.0, s0):
-        raise NegativeComponent(f"grid aggregate reached {capital.min()}")
+    low = capital.min()
+    if low < -_NEG_TOL and low < -_NEG_TOL * capital.max():  # 1e-9 max(1, peak)
+        raise NegativeComponent(f"{mixture.descriptor}: the capital reached {low}")
     with np.errstate(over="ignore", invalid="ignore"):  # a held value may overflow
         cash = capital - position * path.values
     return CapitalTrace(
@@ -521,8 +540,11 @@ class Prop3Report:
 
     @property
     def binding(self) -> bool:
-        """Whether the bound is above 0, so a pass says more than that the
-        capital stayed above -1/4 (needs at least 257 price moves)."""
+        """Whether the bound is above 0 (needs at least 257 price moves).
+
+        That does not make a pass a gain: a strategy that never trades keeps
+        its initial capital ``s0`` (0.887 at eps = 0.5, 0.833 at eps = 1), so
+        it passes every case with ``rhs < s0``."""
         return self.rhs > 0.0
 
 
@@ -604,66 +626,36 @@ def verify_prop3_bound(
 # countable families from the right-continuous extension
 
 
-def unboundedness_mixture(m_max: int, omega0_hint: float) -> StrategyMixture:
+def unboundedness_mixture(m_max: int) -> UnboundednessMixture:
     """Weighted bets that the path never doubles past each threshold 2^m.
 
-    Component m invests everything at time 0 (one unit of cash, position
-    1/start, or position 1 when the start price is 0) and liquidates on
-    hitting [2^m, inf).  Weights 2^-m; initial capital 1 - 2^-m_max.
-    ``m_max`` is at most 1023, since 2^1024 overflows float64.
+    See :class:`UnboundednessMixture`.  Weights 2^-m; initial capital
+    1 - 2^-m_max.  ``m_max`` is at most 1023, since 2^1024 overflows float64.
     """
     if not 1 <= m_max <= 1023:
         raise BadWeights(f"m_max must be in [1, 1023], got {m_max}")
-    h1 = 1.0 if omega0_hint == 0.0 else 1.0 / omega0_hint
-    comps = []
-    for m in range(1, m_max + 1):
-        strat = SimpleStrategy(
-            initial_capital=1.0,
-            rules=((AtIndex(0), h1), (HitAbove(2.0**m), 0.0)),
-            descriptor=f"unbounded(m={m})",
-        )
-        comps.append((2.0**-m, strat))
-    return StrategyMixture(
-        components=tuple(comps),
-        analytic_tail_capital=0.0,
-        descriptor=f"unboundedness(m<={m_max})",
-    )
+    return UnboundednessMixture(m_max)
 
 
-def crossing_explosion_mixture(intervals, weights) -> StrategyMixture:
+def crossing_explosion_mixture(intervals, weights) -> CrossingMixture:
     """Capped band strategies over the given intervals.
 
-    Each component trades its band like the upcrossing strategy but freezes
-    once its capital reaches 1/weight, so it can only fire finitely often;
-    total cost is sum(weight * a).  A finite list stands for the leading part
-    of a unit-mass countable family, so weights must satisfy 0 < sum <= 1.
+    Each component trades its band like the upcrossing strategy but stops
+    once its capital reaches 1/weight (see :class:`CrossingMixture`); total
+    cost is sum(weight * a).  A finite list stands for the leading part of a
+    unit-mass countable family, so weights must satisfy 0 < sum <= 1.
     """
-    intervals = [(float(a), float(b)) for a, b in intervals]
-    weights = [float(w) for w in weights]
+    intervals = tuple((float(a), float(b)) for a, b in intervals)
+    weights = tuple(float(w) for w in weights)
     if len(intervals) != len(weights) or not intervals:
         raise BadWeights("need matching nonempty intervals and weights")
-    if any(w <= 0.0 for w in weights):
+    if not all(w > 0.0 for w in weights):
         raise BadWeights("weights must be > 0")
     if math.fsum(weights) > 1.0 + 1e-12:
         raise BadWeights("weights must sum to at most 1")
     if any(not (0.0 <= a < b) for a, b in intervals):
         raise BadWeights("intervals must satisfy 0 <= a < b")
-    cost = math.fsum(w * a for (a, _b), w in zip(intervals, weights))
-    if not math.isfinite(cost):
+    mixture = CrossingMixture(intervals, weights)
+    if not math.isfinite(mixture.total_initial):
         raise BadWeights("total cost must be finite")
-    comps = []
-    for (a, b), w in zip(intervals, weights):
-        base = doob_strategy(a, b)
-        capped = SimpleStrategy(
-            initial_capital=base.initial_capital,
-            rules=base.rules,
-            descriptor=f"capped-{base.descriptor}@{1.0 / w:g}",
-            position_bound=base.position_bound,
-            capital_cap=1.0 / w,
-        )
-        comps.append((w, capped))
-    return StrategyMixture(
-        components=tuple(comps),
-        analytic_tail_capital=0.0,
-        descriptor="crossing-explosion",
-    )
+    return mixture

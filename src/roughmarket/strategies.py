@@ -116,17 +116,13 @@ class SimpleStrategy:
     """Initial capital plus ordered (stopping rule, position) pairs.
 
     ``rules`` is any reusable iterable; it may be endless as long as only
-    finitely many rules fire on any step path.  ``capital_cap`` freezes the
-    strategy from the first sample where its capital reaches the cap: the
-    capital stays constant, an open position is closed by a ``cap-liquidate``
-    firing, and firings from that sample on are dropped.
+    finitely many rules fire on any step path.
     """
 
     initial_capital: float
     rules: Iterable[tuple[StoppingRule, float]]
     descriptor: str = ""
     position_bound: float = math.inf
-    capital_cap: float | None = None
 
     def describe(self) -> str:
         return self.descriptor or "strategy"
@@ -145,9 +141,8 @@ class CapitalTrace:
     """Per-sample capital, position carried out of the sample, and cash.
 
     ``position[i]`` is the holding over ``(times[i], times[i+1]]``;
-    ``capital`` is :func:`self_financing` of the positions (constant from a
-    capital cap on); ``cash = capital - position * values``, constant until
-    the next trade.
+    ``capital`` is :func:`self_financing` of the positions; ``cash =
+    capital - position * values``, constant until the next trade.
     """
 
     times: np.ndarray
@@ -230,17 +225,6 @@ def _run(strategy: SimpleStrategy, path: PricePath) -> CapitalTrace:
     # the position out of sample t is that of the last firing at or before t
     position = held[np.searchsorted(index, np.arange(values.shape[0]), side="right")]
     capital = self_financing(float(strategy.initial_capital), position, values)
-    executed = [Firing(i, float(times[i]), h, desc) for i, h, desc in fired]
-    cap = strategy.capital_cap
-    reached = np.flatnonzero(capital >= cap) if cap is not None else ()
-    if len(reached):
-        # frozen from the first sample at the cap: later firings are dropped
-        c = int(reached[0])
-        executed = [f for f in executed if f.index < c]
-        if c > 0 and position[c - 1] != 0.0:
-            executed.append(Firing(c, float(times[c]), 0.0, "cap-liquidate"))
-        capital[c:] = capital[c]
-        position[c:] = 0.0
     if np.isnan(capital[-1]):  # gains of +inf and -inf
         raise BadPosition(f"{strategy.describe()}: a position times a price move overflows float64")
     with np.errstate(over="ignore", invalid="ignore"):  # a held value may overflow
@@ -250,7 +234,7 @@ def _run(strategy: SimpleStrategy, path: PricePath) -> CapitalTrace:
         capital=capital,
         position=position,
         cash=cash,
-        firings=tuple(executed),
+        firings=tuple(Firing(i, float(times[i]), h, desc) for i, h, desc in fired),
         initial_capital=float(strategy.initial_capital),
     )
 

@@ -1,4 +1,4 @@
-"""Event-driven reference for ``roughmarket.mixtures.doob_grid_held``.
+"""Event-driven reference for the grid kernel, read by ``grid_held.doob_grid_held``.
 
 Simulates one dyadic cell grid (one scale, one cell count) sample by sample:
 at each price move it buys one unit in every flat cell whose lower edge the

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from roughmarket import GeneratorSpec, crossings, generate, grid_crossings
 from roughmarket.errors import BadInterval, BadStep
-from roughmarket.mixtures import doob_grid_held
 from roughmarket.variation import _band_moves, band_crossings
 
 from conftest import random_positive_path, step_path
 from crossing_oracle import crossings as oracle_crossings
+from grid_held import doob_grid_held
 
 
 class TestCrossings:

@@ -6,14 +6,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughmarket import (
-    AtIndex,
     GeneratorSpec,
     GridLevel,
     GridStrategyMixture,
-    SimpleStrategy,
-    StrategyMixture,
     VariationFunctional,
     crossing_explosion_mixture,
     doob_strategy,
@@ -37,69 +36,189 @@ from roughmarket.errors import (
 )
 from roughmarket import ExperimentConfig, mixtures, run_experiment
 from roughmarket.experiments import report_canonical_bytes
-from roughmarket.mixtures import _resolve_scale_cut, doob_grid_held, prop3_initial_capital
+from roughmarket.mixtures import _resolve_scale_cut, prop3_initial_capital
 from roughmarket.strategies import self_financing
 
 from conftest import random_positive_path, step_path
+from grid_held import doob_grid_held
 from grid_oracle import doob_grid_events
+from strategy_oracle import (
+    crossing_components,
+    grid_components,
+    run_components,
+    unboundedness_components,
+)
+from strategy_oracle import run_simple as oracle_run
 
 SAW = step_path([0.0, 1.0, 0.0, 1.0])
 P25 = VariationFunctional.power(2.5)
 
 
+@dataclasses.dataclass(frozen=True)
+class HeldMixture:
+    """A mixture that holds a fixed position: run_mixture's checks on their own."""
+
+    held: tuple
+    total_initial: float
+    descriptor: str = "held"
+
+    def position(self, path):
+        return np.array(self.held, dtype=np.float64)
+
+
 class TestRunMixture:
     def test_single_component_equals_run_simple(self):
+        # a band that never reaches its cap 2^20 is the band strategy, scaled
         path = step_path([1, 0.5, 1.5, 0.5, 1.5])
-        strat = doob_strategy(0.5, 1.5)
-        mix = StrategyMixture(components=((1.0, strat),))
-        mt = run_mixture(mix, path)
-        st = run_simple(strat, path)
-        assert np.array_equal(mt.capital, st.capital)
-        assert np.array_equal(mt.position, st.position)
+        w = 2.0**-20
+        mt = run_mixture(crossing_explosion_mixture([(0.5, 1.5)], [w]), path)
+        band = run_simple(doob_strategy(0.5, 1.5), path)
+        assert np.array_equal(mt.capital, w * band.capital)
+        assert np.array_equal(mt.position, w * band.position)
 
     def test_two_idle_components_sum_constant(self):
-        mix = StrategyMixture(
-            components=((1.0, SimpleStrategy(0.3, ())), (1.0, SimpleStrategy(0.7, ()))),
-        )
-        trace = run_mixture(mix, step_path([1.0, 9.0, 0.1]))
-        assert np.all(trace.capital == 1.0)
-        assert mix.total_initial == 1.0
+        # a start at 8 is at or above every threshold 2^m, m <= 3: none holds
+        mix = unboundedness_mixture(3)
+        trace = run_mixture(mix, step_path([8.0, 9.0, 0.1]))
+        assert np.all(trace.position == 0.0)
+        assert np.all(trace.capital == 0.875)
+        assert mix.total_initial == 0.875
 
     def test_doob_component_floor_at_zero(self):
-        mix = StrategyMixture(components=((1.0, doob_strategy(0.5, 1.5)),))
+        mix = crossing_explosion_mixture([(0.5, 1.5)], [1.0])
         trace = run_mixture(mix, step_path([1.0, 0.5, 0.0]))
         assert trace.min_capital >= 0.0
+        assert trace.final_capital == 0.0
 
     def test_negative_component_detected(self):
-        risky = SimpleStrategy(0.1, ((AtIndex(0), 1.0),), descriptor="levered-long")
-        mix = StrategyMixture(components=((1.0, risky),))
+        # one unit held on 0.1 of capital: a drop of 0.5 takes it to -0.4
         with pytest.raises(NegativeComponent):
-            run_mixture(mix, step_path([1.0, 0.5]))
+            run_mixture(HeldMixture((1.0, 1.0), 0.1), step_path([1.0, 0.5]))
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(BadWeights):
-            StrategyMixture(components=((0.0, SimpleStrategy(1.0, ())),))
+        for w in (0.0, -1.0, math.nan):
+            with pytest.raises(BadWeights):
+                crossing_explosion_mixture([(0.5, 1.5)], [w])
 
     def test_tail_capital_is_constant_offset(self):
-        mix = StrategyMixture(components=((1.0, SimpleStrategy(0.25, ())),), analytic_tail_capital=0.5)
-        trace = run_mixture(mix, step_path([1.0, 2.0]))
-        assert np.all(trace.capital == 0.75)
-        assert trace.initial_capital == 0.75
+        levels = (GridLevel(0, 1, 4, 0.25), GridLevel(1, 0, 2, 0.5))
+        with_tail = run_mixture(GridStrategyMixture(levels, 0.5), step_path([1.0, 0.25, 2.0]))
+        without = run_mixture(GridStrategyMixture(levels, 0.0), step_path([1.0, 0.25, 2.0]))
+        assert np.array_equal(with_tail.position, without.position)
+        assert np.array_equal(with_tail.capital, without.capital + 0.5)
+        assert with_tail.initial_capital == without.initial_capital + 0.5
 
     def test_summed_position_overflow_raises(self):
-        # each component alone holds 1e308 units; their sum is inf, and the
+        # 1 / 5e-324 units is inf, and a gain of +inf then -inf is NaN: the
         # error says so without a numpy warning on the way
-        big = SimpleStrategy(1.0, ((AtIndex(0), 1e308),))
-        mix = StrategyMixture(components=((1.0, big), (1.0, big)))
-        with warnings.catch_warnings(), pytest.raises(BadPosition):
-            warnings.simplefilter("error", RuntimeWarning)
-            run_mixture(mix, step_path([1.0, 1.0, 1.5]))
+        cases = [
+            (unboundedness_mixture(5), [5e-324, 5e-324, 1.0]),
+            (HeldMixture((1e308, 1e308, 0.0), 1.0), [0.0, 1.7e308, 0.0]),
+            # a gain past float64 with no inf - inf after it: the capital is +inf
+            (unboundedness_mixture(1023), [1e-300, 1e300, 0.0]),
+        ]
+        for mix, values in cases:
+            with warnings.catch_warnings(), pytest.raises(BadPosition):
+                warnings.simplefilter("error", RuntimeWarning)
+                run_mixture(mix, step_path(values))
+
+    def test_negative_tolerance_scales_with_peak_capital(self):
+        # every component holds x_t / x_0 >= 0 throughout, but the capital
+        # peaks near 5.7e12 and its cancellation error ends it near -4.7e-5
+        values = [
+            1.0554648250568559e-15, 1.8427167355327143e-14, 1.5378584204794957e-12,
+            0.006234629771751824, 1.7443210769217028e-11, 9.058564947385305e-24,
+            1.6700357793092533e-19, 3.0490453717267307e-20, 4.09139149079932e-38,
+            9.053042812845577e-46, 4.084028168586873e-66, 3.1685603880657266e-50,
+            1.5655055322263901e-62, 3.400053756775931e-62, 1.7754524460769056e-72,
+            8.945476376041591e-77, 2.160377739593947e-77, 1.1613088993801351e-76,
+            1.9621583487633187e-77, 7.14446677240027e-82, 6.464419303249255e-92,
+            5.298338039794515e-102, 1.505728487320914e-95,
+        ]
+        trace = run_mixture(unboundedness_mixture(5), step_path(values))
+        peak = np.abs(trace.capital).max()
+        assert peak > 1e12
+        assert trace.min_capital < -1e-9  # beyond an absolute tolerance of 1e-9
+        assert trace.final_capital == pytest.approx(0.0, abs=1e-9 * peak)
 
     def test_held_value_overflow_is_inf_cash(self):
         # 1e308 units at price 2 are worth more than float64 holds
-        big = SimpleStrategy(1.0, ((AtIndex(0), 1e308),))
-        trace = run_mixture(StrategyMixture(components=((1.0, big),)), step_path([1.0, 1.0, 2.0]))
+        trace = run_mixture(HeldMixture((1e308,) * 3, 1.0), step_path([1.0, 1.0, 2.0]))
         assert trace.final_capital == 1e308 and trace.cash[-1] == -math.inf
+
+
+@st.composite
+def family_cases(draw):
+    """(mixture, its oracle components, path) for the two countable families."""
+    if draw(st.booleans()):
+        values = [v / 64.0 for v in draw(st.lists(st.integers(0, 1024), min_size=2, max_size=40))]
+        level = st.integers(0, 320).map(lambda k: k / 64.0)
+    else:
+        price = st.one_of(st.just(0.0), st.floats(1e-3, 16.0))
+        values = draw(st.lists(price, min_size=2, max_size=40))
+        level = st.floats(0.0, 5.0, allow_subnormal=False)
+    if draw(st.booleans()):
+        values[0] = 0.0  # a zero start
+    path = step_path(values)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 6))
+        return unboundedness_mixture(m), unboundedness_components(m, values[0]), path
+    n = draw(st.integers(1, 4))
+    lows = draw(st.lists(level, min_size=n, max_size=n))
+    intervals = [(a, a + draw(st.integers(1, 128)) / 64.0) for a in lows]
+    # cap n/w: reached at t = 0 (a >= n/w), mid-path, or never (w = 2^-20)
+    share = st.sampled_from([1.0, 0.5, 0.25, 0.125, 1.0 / 3.0, 2.0**-20])
+    weights = [draw(share) / n for _ in range(n)]
+    mix = crossing_explosion_mixture(intervals, weights)
+    return mix, crossing_components(intervals, weights), path
+
+
+def exp_fractional_path(n, tick=2.0**-16):
+    spec = GeneratorSpec(kind="exp-fractional", n_samples=n, hurst=0.5, sigma=0.5, seed=7)
+    path = generate(spec)
+    return path.with_values(np.round(path.values / tick) * tick)
+
+
+class TestFamiliesAgainstOracle:
+    """run_mixture's one route against the per-component route of the oracle."""
+
+    @staticmethod
+    def assert_same(mix, components, path):
+        got = run_mixture(mix, path)
+        want = run_components(components, path)
+        assert got.initial_capital == want.initial_capital == mix.total_initial
+        for name in ("capital", "position", "cash"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(family_cases())
+    def test_matches_per_component_route(self, case):
+        self.assert_same(*case)
+
+    @pytest.mark.parametrize("m_max", [10, 1023])
+    def test_unboundedness_4097_samples(self, m_max):
+        # x^64 of the path ranges over about 2^-48..2^11; reversed, it starts low
+        values = exp_fractional_path(4097).values ** 64
+        for path in (step_path(values), step_path(values[::-1])):
+            mix = unboundedness_mixture(m_max)
+            trace = self.assert_same(mix, unboundedness_components(m_max, path.values[0]), path)
+            assert np.unique(trace.position).size > 2  # thresholds are crossed mid-path
+
+    def test_crossing_4097_samples(self):
+        # prices in about [37.7, 72.5], 24 bands, caps 64 and 2^20 in turn:
+        # two caps are reached at t = 0, five mid-path and the rest never
+        path = exp_fractional_path(4097)
+        path = path.with_values(path.values * 64.0)
+        edges = np.linspace(path.values.min(), path.values.max(), 25).tolist()
+        intervals = list(zip(edges, edges[1:]))
+        weights = [1.0 / 64.0, 2.0**-20] * 12
+        trace = self.assert_same(
+            crossing_explosion_mixture(intervals, weights),
+            crossing_components(intervals, weights),
+            path,
+        )
+        assert trace.final_capital > trace.initial_capital
 
 
 class TestVolatilityMixtureConstruction:
@@ -300,7 +419,7 @@ class TestGridAgainstExplicit:
             fast = run_mixture(mix, path)
             cap = np.zeros(path.n_samples)
             pos = np.zeros(path.n_samples)
-            for w, strat in mix.iter_components():
+            for w, strat, _cap in grid_components(mix):
                 t = run_simple(strat, path)
                 cap += w * t.capital
                 pos += w * t.position
@@ -312,7 +431,7 @@ class TestGridAgainstExplicit:
         path = step_path([1.0, 0.25, 1.75, 0.5, 2.5, 1.0])
         fast = run_mixture(mix, path)
         cap = np.full(path.n_samples, mix.analytic_tail_capital)
-        for w, strat in mix.iter_components():
+        for w, strat, _cap in grid_components(mix):
             cap += w * run_simple(strat, path).capital
         assert np.allclose(fast.capital, cap, atol=1e-10)
 
@@ -587,13 +706,13 @@ class TestProp3Bound:
 
 class TestUnboundedness:
     def test_constant_path_keeps_capital(self):
-        mix = unboundedness_mixture(6, 1.0)
+        mix = unboundedness_mixture(6)
         path = step_path([1.0, 1.0, 1.0])
         trace = run_mixture(mix, path)
         assert trace.final_capital == pytest.approx(mix.total_initial, rel=1e-12)
 
     def test_big_jump_regression(self):
-        mix = unboundedness_mixture(10, 1.0)
+        mix = unboundedness_mixture(10)
         trace = run_mixture(mix, step_path([1.0, 1024.0]))
         assert mix.total_initial == 1.0 - 2.0**-10
         assert trace.final_capital == 1023.0  # every component liquidates at 1024
@@ -602,12 +721,12 @@ class TestUnboundedness:
         finals = []
         for M in (2, 5, 8):
             path = step_path([1.0, 2.0**M])
-            trace = run_mixture(unboundedness_mixture(10, 1.0), path)
+            trace = run_mixture(unboundedness_mixture(10), path)
             finals.append(trace.final_capital - trace.initial_capital)
         assert finals[0] < finals[1] < finals[2]
 
     def test_zero_start_branch(self):
-        mix = unboundedness_mixture(3, 0.0)
+        mix = unboundedness_mixture(3)
         path = step_path([0.0, 4.0, 4.0])
         trace = run_mixture(mix, path)  # h1 = 1, buys at price 0, every m gains 4
         gains = sum(2.0**-m * 4.0 for m in (1, 2, 3))
@@ -615,7 +734,7 @@ class TestUnboundedness:
 
     def test_m_max_validation(self):
         with pytest.raises(BadWeights):
-            unboundedness_mixture(0, 1.0)
+            unboundedness_mixture(0)
 
 
 class TestCrossingExplosion:
@@ -632,8 +751,7 @@ class TestCrossingExplosion:
         saw = [1.0] + [0.5, 1.5] * 5
         mix = crossing_explosion_mixture([(0.5, 1.5)], [0.25])  # cap 4
         trace = run_mixture(mix, step_path(saw))
-        comp = mix.components[0][1]
-        ct = run_simple(comp, step_path(saw))
+        ct = oracle_run(doob_strategy(0.5, 1.5), step_path(saw), cap=4.0)
         assert ct.final_capital == 4.5  # frozen at first sample with capital >= 4
         assert trace.final_capital == 0.25 * 4.5
 
@@ -663,9 +781,9 @@ class TestCrossingExplosion:
 class TestGridMixtureProperties:
     def test_components_materialization_guard(self):
         mix = volatility_mixture(P25, 2, j_policy=14, kind="prop1")
-        assert mix.n_components == 131068  # past the 2^16 that iter_components takes
+        assert mix.n_components == 131068  # past the 2^16 that grid_components takes
         with pytest.raises(ValueError):
-            next(mix.iter_components())
+            next(grid_components(mix))
 
     def test_positions_nonnegative(self):
         rng = np.random.default_rng(9)

@@ -192,6 +192,7 @@ class TestGeneratePins:
             dict(level=np.float32(1.5)),
             dict(start=np.int8(1)),
             dict(eps=2**1023),
+            dict(values=(1.0, 2, np.float32(0.5), 2**1023)),
         ]
         for fields in ok:
             _validate_spec(GeneratorSpec(**{"kind": "constant", "n_samples": 3, **fields}))
@@ -204,6 +205,9 @@ class TestGeneratePins:
             (dict(eps=2**1024), f"eps must be a number, got {2**1024}"),
             (dict(jump_sigma=None), "jump_sigma must be a number, got None"),
             (dict(n_samples=3.5, horizon="x"), "n_samples must be an integer, got 3.5"),
+            (dict(values=(1.0, True)), "values must hold numbers only"),
+            (dict(values=(1.0, 2**1024)), "values must hold numbers only"),
+            (dict(times=(0.0, 1.0, True)), "times must hold numbers only"),
         ]
         for fields, message in bad:
             with pytest.raises(BadSpec) as e:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from roughmarket import (
     AtIndex,
-    PricePath,
     SimpleStrategy,
     borrowing_free_check,
     clairvoyant_strategy,
@@ -18,10 +17,11 @@ from roughmarket import (
     upper_prob_singleton,
 )
 from roughmarket.errors import BadInterval, BadPosition, RuleOverflow, ZeroPrice
-from roughmarket.mixtures import crossing_explosion_mixture, unboundedness_mixture
+from roughmarket.mixtures import crossing_explosion_mixture, run_mixture, unboundedness_mixture
 from roughmarket.strategies import CapitalTrace, first_violation, self_financing
 
 from conftest import random_positive_path, step_path
+from strategy_oracle import crossing_components, run_components, unboundedness_components
 from strategy_oracle import run_simple as oracle_run
 
 
@@ -102,21 +102,20 @@ class TestRunSimple:
         assert np.allclose(trace.cash + trace.position * path.values, trace.capital, atol=1e-9)
 
     def test_adaptedness_under_suffix_mutation(self):
-        from roughmarket import crossing_explosion_mixture, unboundedness_mixture
-
+        """The built-in strategies and mixtures ignore a changed suffix."""
         rng = np.random.default_rng(4)
         for _ in range(30):
             path = random_positive_path(rng, n_max=30)
             a = float(rng.uniform(0.0, path.sup * 0.7))
-            builtins = [doob_strategy(a, a + 0.3)]
-            builtins.append(unboundedness_mixture(4, float(path.values[0])).components[0][1])
-            builtins.append(crossing_explosion_mixture([(a, a + 0.3)], [0.5]).components[0][1])
+            strategies = (doob_strategy(a, a + 0.3), unboundedness_components(4, path.values[0])[0][1])
+            mixtures = (unboundedness_mixture(4), crossing_explosion_mixture([(a, a + 0.3)], [0.5]))
             cut = path.n_samples // 2
             mutated = path.values.copy()
             mutated[cut + 1 :] = rng.uniform(0.0, 2.0 * path.sup, size=mutated.shape[0] - cut - 1)
-            for strat in builtins:
-                base = run_simple(strat, path)
-                alt = run_simple(strat, PricePath(path.times, mutated))
+            mutated = path.with_values(mutated)
+            pairs = [(run_simple(s, path), run_simple(s, mutated)) for s in strategies]
+            pairs += [(run_mixture(m, path), run_mixture(m, mutated)) for m in mixtures]
+            for base, alt in pairs:
                 assert np.array_equal(base.capital[: cut + 1], alt.capital[: cut + 1])
                 assert np.array_equal(base.position[:cut], alt.position[:cut])
 
@@ -138,7 +137,7 @@ def engine_cases(draw):
         values = draw(st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=2, max_size=40))
         level = st.floats(0.0, 5.0, allow_subnormal=False)
     n = len(values)
-    kind = draw(st.sampled_from(["doob", "clairvoyant", "at-index", "unbounded", "capped"]))
+    kind = draw(st.sampled_from(["doob", "clairvoyant", "at-index", "unbounded"]))
     if kind == "clairvoyant":
         path = step_path([v + 0.5 for v in values])
         return clairvoyant_strategy(path)[0], path
@@ -151,14 +150,9 @@ def engine_cases(draw):
         return SimpleStrategy(draw(level), rules), path
     if kind == "unbounded":
         m = draw(st.integers(1, 4))
-        return unboundedness_mixture(m, values[0]).components[m - 1][1], path
+        return unboundedness_components(m, values[0])[m - 1][1], path
     a = draw(level)
-    b = a + draw(st.integers(1, 128).map(lambda k: k / 64.0))
-    if kind == "doob":
-        return doob_strategy(a, b), path
-    # cap 1/w: reached at t = 0 (a >= 1, w = 1), mid-path, or never (w = 2^-20)
-    w = draw(st.sampled_from([1.0, 0.5, 0.25, 0.125, 1.0 / 3.0, 2.0**-20]))
-    return crossing_explosion_mixture([(a, b)], [w]).components[0][1], path
+    return doob_strategy(a, a + draw(st.integers(1, 128).map(lambda k: k / 64.0))), path
 
 
 class TestEngineOracle:
@@ -206,13 +200,19 @@ class TestEngineOracle:
         ],
     )
     def test_capital_cap(self, a, weight, frozen_at, fired):
+        """A capped band: the oracle's frozen trace, and the crossing mixture's position."""
         path = step_path([1.0, 0.5, 1.5, 0.5, 1.5, 0.5])
-        strat = crossing_explosion_mixture([(a, a + 1.0)], [weight]).components[0][1]
-        trace = self.assert_same(strat, path)
+        trace = oracle_run(doob_strategy(a, a + 1.0), path, cap=1.0 / weight)
         assert [(f.index, f.position) for f in trace.firings] == fired
+        mix = run_mixture(crossing_explosion_mixture([(a, a + 1.0)], [weight]), path)
+        want = run_components(crossing_components([(a, a + 1.0)], [weight]), path)
+        for name in ("capital", "position", "cash"):
+            assert np.array_equal(getattr(mix, name), getattr(want, name)), name
+        assert np.array_equal(mix.position, weight * trace.position)
         if frozen_at is not None:
-            assert np.all(trace.capital[frozen_at:] == trace.capital[frozen_at])
-            assert np.all(trace.position[frozen_at:] == 0.0)
+            for t in (trace, mix):
+                assert np.all(t.capital[frozen_at:] == t.capital[frozen_at])
+                assert np.all(t.position[frozen_at:] == 0.0)
         if frozen_at == 4:
             assert trace.firings[-1].rule == "cap-liquidate"
 

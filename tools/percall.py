@@ -18,8 +18,9 @@ Timed: ``PricePath`` construction at 12, 66, 1025 and 4097 samples;
 ``write_report`` on the five short-suite reports (seed 1); ``run_mixture``
 and ``verify_prop3_bound`` on a prop3-long-like path (4097 exp-fractional
 samples on a 2^-16 tick, eps = delta = 0.5) at N = 1, 64, 256 and 1024;
-``self_financing`` on 91 samples.  Standard library and numpy only; BLAS
-threads are pinned to 1.
+``run_mixture`` of ``unboundedness_mixture(1023)`` and of a crossing
+mixture of 200 bands on that path; ``self_financing`` on 91 samples.
+Standard library and numpy only; BLAS threads are pinned to 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -108,6 +110,15 @@ def cases(rm, out_dir: str) -> dict:
         out[f"verify_prop3_bound.N{n_steps}"] = lambda n=n_steps: rm.verify_prop3_bound(
             path, 0.5, 0.5, n, raise_on_violation=False
         )
+
+    if len(inspect.signature(mixtures.unboundedness_mixture).parameters) == 2:
+        unbounded = mixtures.unboundedness_mixture(1023, float(path.values[0]))
+    else:
+        unbounded = mixtures.unboundedness_mixture(1023)
+    out["run_mixture.unbounded.m1023"] = lambda: mixtures.run_mixture(unbounded, path)
+    edges = np.linspace(path.values.min(), path.values.max(), 201).tolist()
+    crossing = mixtures.crossing_explosion_mixture(zip(edges, edges[1:]), [1.0 / 256.0] * 200)
+    out["run_mixture.crossing.b200"] = lambda: mixtures.run_mixture(crossing, path)
 
     rng = np.random.default_rng(5)
     position = rng.normal(size=91)
