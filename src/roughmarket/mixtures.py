@@ -569,7 +569,7 @@ def verify_prop3_bound(
     the construction, not in the inequality.  Bad parameters raise
     :class:`BadWeights` (eps, delta, also when they or the path's
     ``max(1, sup)^(2+eps+delta)`` overflow float64), :class:`BadSpec`
-    (N < 1) or :class:`TooLarge` (N + 1 above the DP limit).
+    (N not an integer >= 1) or :class:`TooLarge` (N + 1 above the DP limit).
     """
     _check_prop3_params(eps, delta)
     check_dp_samples(N + 1)

@@ -370,6 +370,36 @@ class TestDiscretize:
         with pytest.raises(BadSpec):
             discretize(step_path([1.0, 2.0]), 0)
 
+    @pytest.mark.parametrize("N", [2.5, 4.0, np.float64(8.0), True, False, "8", None])
+    def test_n_must_be_an_integer(self, N):
+        with pytest.raises(BadSpec):
+            discretize(step_path([1.0, 2.0]), N)
+
+    @pytest.mark.parametrize("N", [MAX_SAMPLES, 2**40, np.int64(2**62)])
+    def test_n_past_the_sample_limit_is_refused_before_allocating(self, N):
+        with pytest.raises(TooLarge):
+            discretize(step_path([1.0, 2.0]), N)
+
+    def test_n_at_the_sample_limit_runs(self):
+        assert discretize(step_path([1.0, 2.0]), MAX_SAMPLES - 1).n_samples == MAX_SAMPLES
+
+    # digests as in GENERATED, recorded before discretize checked N
+    @pytest.mark.parametrize(
+        "digest, N",
+        [
+            ("5e5de1dbe5ada7b0", 1),
+            ("02f08807003e61e0", 7),
+            ("1f0098b6a57828c3", 64),
+            ("bd05ee4f00ddb67d", 300),
+            ("583647acf0b3b0b9", np.int64(100)),
+            ("67911d1a5f233875", np.int32(5)),
+        ],
+    )
+    def test_valid_n_keeps_its_bytes(self, digest, N):
+        p = generate(GeneratorSpec(kind="exp-fractional", n_samples=257, seed=1))
+        q = discretize(p, N)
+        assert hashlib.sha256(q.times.tobytes() + q.values.tobytes()).hexdigest()[:16] == digest
+
 
 class TestFileRoundTrip:
     def test_examples(self, tmp_path):
