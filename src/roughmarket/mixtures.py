@@ -46,7 +46,7 @@ from .errors import (
     TooLarge,
     TruncationUnsafe,
 )
-from .paths import PricePath, discretize
+from .paths import PricePath, _integer_steps, discretize
 from .strategies import (
     BorrowReport,
     CapitalTrace,
@@ -572,6 +572,7 @@ def verify_prop3_bound(
     (N not an integer >= 1) or :class:`TooLarge` (N + 1 above the DP limit).
     """
     _check_prop3_params(eps, delta)
+    _integer_steps(N)
     check_dp_samples(N + 1)
     omega_n = discretize(path, N)
     sup = omega_n.sup

@@ -81,6 +81,11 @@ class PricePath:
         if values.min() < 0.0:  # no NaN is left, and -0.0 passes
             raise NonPositiveValue("price samples must be >= 0")
 
+    def __getstate__(self):
+        # the fields only: the private caches that other modules keep on a
+        # path (variation's DP plan) stay out of pickles and copies
+        return {"times": self.times, "values": self.values}
+
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
@@ -202,7 +207,8 @@ def _check_types(spec: GeneratorSpec) -> None:
             raise BadSpec(f"{name} must be {what}, got {value!r}")
     for name in ("values", "times"):
         seq = getattr(spec, name)
-        if seq is not None and not all(_is_number(x) for x in seq):
+        # a plain float always passes, so it skips the call
+        if seq is not None and not all(type(x) is float or _is_number(x) for x in seq):
             raise BadSpec(f"{name} must hold numbers only")
 
 
@@ -349,20 +355,31 @@ def generate(spec: GeneratorSpec) -> PricePath:
     return make_path(times, values, T)
 
 
+def _integer_steps(N) -> int:
+    """The step count ``N`` as an int; :class:`BadSpec` unless it is an integer (``bool`` is not)."""
+    if not _is_number(N, integral=True):
+        raise BadSpec(f"N must be an integer, got {N!r}")
+    return int(N)
+
+
 def discretize(path: PricePath, N: int) -> PricePath:
     """Resample onto the uniform grid k*T/N, k = 0..N, via the step rule.
 
-    Raises :class:`BadSpec` unless N is an integer >= 1 (``bool`` is not),
-    :class:`TooLarge` if the N + 1 samples exceed ``MAX_SAMPLES``.
+    When ``path`` already has N + 1 samples on that grid, bit for bit, the
+    rule picks every sample, and ``path`` itself is returned, with whatever
+    it has cached.  Raises :class:`BadSpec` unless N is an integer >= 1
+    (``bool`` is not), :class:`TooLarge` if the N + 1 samples exceed
+    ``MAX_SAMPLES``.
     """
-    if not _is_number(N, integral=True):
-        raise BadSpec(f"N must be an integer, got {N!r}")
+    _integer_steps(N)
     if N < 1:
         raise BadSpec("N must be >= 1")
     if N >= MAX_SAMPLES:
         raise TooLarge(f"{int(N) + 1} samples; a discretized path has at most {MAX_SAMPLES}")
     T = path.horizon
     grid = _uniform_times(N + 1, T)
+    if N + 1 == path.n_samples and np.array_equal(grid.view(np.int64), path.times.view(np.int64)):
+        return path
     idx = np.searchsorted(path.times, grid, side="right") - 1
     return PricePath(grid, path.values[idx])
 

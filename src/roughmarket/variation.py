@@ -7,8 +7,11 @@ index subsequences therefore computes the true supremum.  For star-shaped
 gauges (phi(u)/u nondecreasing) :func:`var_phi` runs it on the turning points
 with a stack of undominated left ends, near-linear on typical paths, taking
 the points in blocks so that one gauge call scores the stack entries that no
-point of the block removes.  Every other DP, :func:`var_phi` on gauges
-that are not star-shaped and the mesh-constrained :func:`qvar_profile`, is
+point of the block removes.  What that DP computes from the prices alone is
+kept on the path, so a further star-shaped gauge on it runs only the scoring:
+the gauge calls, the maxima and the scalar pass.  Every other DP,
+:func:`var_phi` on gauges that are not star-shaped and the mesh-constrained
+:func:`qvar_profile`, is
 :func:`_mesh_dp`: one pass over the right ends for any number of nested
 windows, in blocks, so that one gauge call per block serves every window.
 Where the gauge is certified nondecreasing in float64 (:func:`_dp_until`),
@@ -31,12 +34,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BadInterval, BadStep, InadmissiblePhi, TooLarge
-from .paths import PricePath, discretize
+from .paths import PricePath, _integer_steps, discretize
 
 __all__ = [
     "VariationFunctional",
@@ -366,9 +369,32 @@ _STAR_CELLS = 1 << 14
 _STAR_MIN_PREFIX = 32  # stable cells below this join the other candidates
 
 
+class _StarPlan(NamedTuple):
+    """The half of :func:`_star_dp` that depends on the prices only.
+
+    ``c`` holds the signed turning points.  Row b of ``blocks`` holds block
+    b's first point, the heights of stacks 0 and 1 as it starts, their
+    stable-prefix heights ``low``, and where its pieces start in ``args``
+    and ``kept``; a last row holds m, the final heights and the totals.
+    ``push[i - 1]`` is point i's height in its own stack, ``args`` the
+    gauge arguments c_i + c_j of the stack tops j that each point reads,
+    point by point, and ``kept`` the c of each stack above ``low`` as a
+    block ends, stack 0 then stack 1.  Flat read-only arrays: O(points +
+    tops) memory and a handful of objects, however many blocks there are.
+    """
+
+    c: np.ndarray
+    blocks: np.ndarray
+    push: np.ndarray
+    args: np.ndarray
+    kept: np.ndarray
+
+
 @np.errstate(over="ignore")
-def _star_dp(y: np.ndarray, gauge: Callable) -> float:
-    """The variation DP over alternating turning points ``y``, at least two.
+def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan]:
+    """The variation DP over alternating turning points ``y``, at least two,
+    and its :class:`_StarPlan`; ``y`` may be that plan, from an earlier call
+    on the same points, and the DP then runs its scoring half only.
 
     Extrema of one type have indices of one parity, and each parity keeps a
     stack of its undominated entries (see :func:`var_phi`).  With c = y at
@@ -395,50 +421,82 @@ def _star_dp(y: np.ndarray, gauge: Callable) -> float:
     NaN: increments of finite prices are finite, and the gauges map them to
     non-NaN values), so the result is bit-identical to it.  The stacks live
     in preallocated arrays, written back after each block.
+
+    The block bounds, the replay's heights, the tops' gauge arguments and
+    the c written back depend on the prices only.  The first call builds
+    them block by block as it scores, and keeps them as the plan; a call on
+    the plan reads them back and repeats only the gauge calls, the row
+    maxima and the scalar pass, so it gives the same floats.
     """
-    m = y.shape[0]
-    c = y.copy()
-    c[int(y[1] < y[0]) :: 2] *= -1.0  # the minima
-    cl = c.tolist()
+    plan = y if isinstance(y, _StarPlan) else None
+    if plan is None:
+        c = y.copy()
+        c[int(y[1] < y[0]) :: 2] *= -1.0  # the minima
+        cl = c.tolist()
+        mirrors = ([cl[0]], [])
+        blocks, pushes, parts, kept = [], [], [], []
+        n_args = 0
+    else:
+        c = plan.c
+        blocks = plan.blocks.tolist()
+        pushes = plan.push.tolist()
+    m = c.shape[0]
     stack_c = (np.empty(m), np.empty(m))
     stack_best = (np.empty(m), np.empty(m))
-    mirrors = ([cl[0]], [])
-    stack_c[0][0] = cl[0]
+    stack_c[0][0] = c[0]
     stack_best[0][0] = 0.0
     s = 1
+    block = 0
     while s < m:
-        h0 = (len(mirrors[0]), len(mirrors[1]))
-        e = min(m, s + max(2, min(_STAR_ROWS, _STAR_CELLS // max(h0))))
-        low = list(h0)
-        push = []  # each point's height in its own stack
-        for i in range(s, e):
-            ci = cl[i]
-            own = i & 1
-            stack = mirrors[own]
-            while stack and stack[-1] <= ci:
-                stack.pop()
-            t = len(stack)
-            if t < low[own]:
-                low[own] = t
-            push.append(t)
-            stack.append(ci)
         # the first point of each type; points of type own read stack own ^ 1
         firsts = (s + (s & 1), s + 1 - (s & 1))
-        for own in (0, 1):
-            if low[own ^ 1] * len(range(firsts[own], e, 2)) < _STAR_MIN_PREFIX:
-                low[own ^ 1] = 0
-        # the entries above the prefix, replayed with their c, then their best
-        top_c = [stack_c[k][low[k] : h0[k]].tolist() for k in (0, 1)]
-        xs = []
-        counts = []
-        for i, t in zip(range(s, e), push):
-            own = i & 1
-            top = top_c[own ^ 1]
-            xs += top
-            counts.append(len(top))
-            del top_c[own][t - low[own] :]
-            top_c[own].append(cl[i])
-        top_g = iter(gauge(c[s:e].repeat(counts) + np.array(xs)).tolist() if xs else ())
+        if plan is None:
+            h0 = (len(mirrors[0]), len(mirrors[1]))
+            e = min(m, s + max(2, min(_STAR_ROWS, _STAR_CELLS // max(h0))))
+            low = list(h0)
+            push = []  # each point's height in its own stack
+            for i in range(s, e):
+                ci = cl[i]
+                own = i & 1
+                stack = mirrors[own]
+                while stack and stack[-1] <= ci:
+                    stack.pop()
+                t = len(stack)
+                if t < low[own]:
+                    low[own] = t
+                push.append(t)
+                stack.append(ci)
+            for own in (0, 1):
+                if low[own ^ 1] * len(range(firsts[own], e, 2)) < _STAR_MIN_PREFIX:
+                    low[own ^ 1] = 0
+            # the entries above the prefix, replayed with their c, then their best
+            top_c = [stack_c[k][low[k] : h0[k]].tolist() for k in (0, 1)]
+            xs = []
+            counts = []
+            for i, t in zip(range(s, e), push):
+                own = i & 1
+                top = top_c[own ^ 1]
+                xs += top
+                counts.append(len(top))
+                del top_c[own][t - low[own] :]
+                top_c[own].append(cl[i])
+            blocks.append((s, *h0, *low, n_args, len(kept)))
+            args = None
+            if xs:
+                args = c[s:e].repeat(counts) + np.array(xs)
+                parts.append(args)
+                n_args += len(xs)
+            pushes += push
+            if e < m:
+                kept += top_c[0]
+                kept += top_c[1]
+        else:
+            _, h0a, h0b, low0, low1, a0, k0 = blocks[block]
+            e, _, _, _, _, a1, _ = blocks[block + 1]
+            h0, low = (h0a, h0b), (low0, low1)
+            push = pushes[s - 1 : e - 1]
+            args = plan.args[a0:a1] if a1 > a0 else None
+        top_g = iter(gauge(args).tolist() if args is not None else ())
         pre = [-math.inf] * (e - s)
         for own in (0, 1):
             h = low[own ^ 1]
@@ -456,11 +514,27 @@ def _star_dp(y: np.ndarray, gauge: Callable) -> float:
             del top_best[own][t - low[own] :]
             top_best[own].append(best)
         if e < m:
+            if plan is not None:
+                k1 = k0 + len(top_best[0])
+                top_c = (plan.kept[k0:k1], plan.kept[k1 : k1 + len(top_best[1])])
             for k in (0, 1):
-                stack_c[k][low[k] : len(mirrors[k])] = top_c[k]
-                stack_best[k][low[k] : len(mirrors[k])] = top_best[k]
+                h = low[k] + len(top_best[k])
+                stack_c[k][low[k] : h] = top_c[k]
+                stack_best[k][low[k] : h] = top_best[k]
         s = e
-    return float(best)
+        block += 1
+    if plan is None:
+        blocks.append((m, len(mirrors[0]), len(mirrors[1]), 0, 0, n_args, len(kept)))
+        plan = _StarPlan(
+            c,
+            np.array(blocks),
+            np.array(pushes, dtype=np.intp),
+            np.concatenate(parts) if parts else np.empty(0),
+            np.array(kept, dtype=np.float64),
+        )
+        for a in plan:
+            a.setflags(write=False)
+    return float(best), plan
 
 
 def var_phi(path: PricePath, phi: VariationFunctional) -> float:
@@ -495,7 +569,11 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     leaves a stack depends on values only, never on chain values, so the
     points go in blocks (see :func:`_star_dp`): the entries that stay on a
     stack through a whole block are valid left ends for every point of the
-    block that reads it, and one gauge call scores them all.  Other gauges
+    block that reads it, and one gauge call scores them all.  That replay
+    and the gauge arguments it leads to depend on the prices only: the first
+    star-shaped gauge on a path keeps them on the path as a private
+    :class:`_StarPlan`, and every later one re-scores that plan, which
+    takes about half the time of a first call.  Other gauges
     take :func:`_mesh_dp` with one unconstrained window and one row per run
     of equal prices (:func:`_level_heads`), bit-identical to the DP over
     every sample; it drops dominated left ends when the table is certified
@@ -509,7 +587,10 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
         values = path.values[_level_heads(path.values)]
         firsts = np.zeros((1, values.shape[0]), dtype=np.intp)
         return _mesh_dp(values, firsts, _dp_until(values, phi), phi.on_increments)[0]
-    return _star_dp(turning_points(path.values), phi.on_increments)
+    plan = path.__dict__.get("_star_plan")  # no AttributeError to raise on a new path
+    best, plan = _star_dp(turning_points(path.values) if plan is None else plan, phi.on_increments)
+    object.__setattr__(path, "_star_plan", plan)  # not a field: ==, repr and pickles ignore it
+    return best
 
 
 def var_p(path: PricePath, p: float) -> float:
@@ -781,9 +862,13 @@ def variation_growth_profile(path: PricePath, p_grid, N_grid) -> dict:
 
     Finite-sample diagnostic for how variation grows under refinement; a
     direction-only probe, never a point estimate of a variation index.
-    Raises :class:`BadStep` unless ``N_grid`` increases, :class:`TooLarge` past the DP limit.
+    Raises :class:`BadSpec` unless each N is an integer (``bool`` is not),
+    :class:`BadStep` unless ``N_grid`` increases, :class:`TooLarge` past the
+    DP limit.  The level N = n - 1 of an n-sample path on the uniform grid
+    is the path itself (:func:`discretize`), so it reuses the DP plan that
+    :func:`var_phi` keeps on the path.
     """
-    N_grid = [int(N) for N in N_grid]
+    N_grid = [_integer_steps(N) for N in N_grid]
     if any(n2 <= n1 for n1, n2 in zip(N_grid, N_grid[1:])):
         raise BadStep("N_grid must be strictly increasing")
     check_dp_samples(max(N_grid, default=0) + 1)

@@ -26,6 +26,7 @@ from roughmarket import (
 )
 from roughmarket.errors import (
     BadPosition,
+    BadSpec,
     BadWeights,
     BoundViolated,
     ConfigError,
@@ -688,6 +689,18 @@ class TestProp3Bound:
             verify_prop3_bound(SAW, 0.0, 1.0, 2)
         with pytest.raises(ValueError):
             verify_prop3_bound(SAW, 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("N", ["x", 2.5, 3.0, True, None, 2.0**20])
+    def test_n_must_be_an_integer(self, N, monkeypatch):
+        # refused before the DP size check, which would fail on a str or take a float
+        import roughmarket.mixtures as mx
+
+        def no_size_check(n):
+            raise AssertionError("check_dp_samples ran")
+
+        monkeypatch.setattr(mx, "check_dp_samples", no_size_check)
+        with pytest.raises(BadSpec, match="N must be an integer"):
+            verify_prop3_bound(SAW, 0.5, 0.5, N)
 
     def test_sup_overflow_names_the_sup(self):
         # eps and delta are fine; max(1, sup)^(2 + eps + delta) is what overflows

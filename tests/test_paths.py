@@ -215,6 +215,26 @@ class TestGeneratePins:
             assert str(e.value) == message
 
 
+    @pytest.mark.parametrize("key", ["values", "times"])
+    def test_mixed_sequences_keep_their_verdicts(self, key):
+        # a plain float skips _is_number; every sequence gets the verdict of
+        # checking each element with it
+        elements = [
+            1.5, math.nan, -0.0, 2, 2**1023, 2**1024, -(2**1024), True, False, np.bool_(True),
+            np.float32(0.5), np.float64(math.inf), np.int64(3), np.uint8(7), "1.0", None, 1 + 0j,
+        ]
+        rng = np.random.default_rng(11)
+        seqs = [(1.0, x) for x in elements] + [(x, 2.0, 3.0) for x in elements]
+        seqs += [tuple(rng.choice(np.array(elements, dtype=object), size=4)) for _ in range(200)]
+        for seq in seqs:
+            spec = GeneratorSpec(kind="custom-steps", n_samples=2, **{key: seq})
+            if all(paths._is_number(x) for x in seq):
+                paths._check_types(spec)
+            else:
+                with pytest.raises(BadSpec, match=f"{key} must hold numbers only"):
+                    paths._check_types(spec)
+
+
 class TestGenerate:
     def test_constant(self):
         p = generate(GeneratorSpec(kind="constant", n_samples=4, level=1.0))
@@ -343,6 +363,29 @@ class TestDiscretize:
         q = discretize(p, 8)
         assert np.array_equal(p.values, q.values)
         assert np.array_equal(p.times, q.times)
+
+    def test_a_path_on_its_own_grid_is_returned_as_is(self):
+        for spec in (dict(kind="geometric-random-walk", n_samples=9), dict(kind="exp-fractional", n_samples=4097)):
+            p = generate(GeneratorSpec(seed=3, **spec))
+            assert discretize(p, p.n_samples - 1) is p
+            assert discretize(p, p.n_samples - 2) is not p
+        p = step_path([1.0, 3.0, 2.0, 5.0], T=3.0)
+        assert discretize(p, 3) is p
+
+    def test_any_other_grid_is_resampled(self):
+        n = 9
+        grid = np.arange(n) / (n - 1)
+        for times in (
+            grid**2,  # same length, not uniform
+            np.where(np.arange(n) == 4, np.nextafter(grid, 1.0), grid),  # one ulp off
+            np.where(np.arange(n) == 0, -0.0, grid),  # equal, but not bit for bit
+        ):
+            p = PricePath(times, np.arange(1.0, n + 1.0))
+            q = discretize(p, n - 1)
+            assert q is not p
+            assert q.times.tobytes() == grid.tobytes()
+            idx = np.searchsorted(p.times, grid, side="right") - 1
+            assert np.array_equal(q.values, p.values[idx])
 
     def test_floor_rule_keeps_final_value(self):
         p = step_path([1.0, 2.0, 3.0, 4.0])

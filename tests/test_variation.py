@@ -1,5 +1,7 @@
+import itertools
 import math
 import operator
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,7 @@ from roughmarket import (
     variation_growth_profile,
 )
 from roughmarket import variation
-from roughmarket.errors import BadStep, TooLarge
+from roughmarket.errors import BadSpec, BadStep, TooLarge
 from roughmarket.paths import discretize
 from roughmarket.variation import (
     _DP_CELLS,
@@ -731,11 +733,152 @@ class TestBlockedStarDP:
                 return phi.on_increments(d)
 
             y = turning_points(path.values)
-            assert variation._star_dp(y, gauge) == oracle_star_dp(y, phi.on_increments)
+            value, plan = variation._star_dp(y, gauge)
+            assert value == oracle_star_dp(y, phi.on_increments)
             prefixes = [shape for shape in shapes if len(shape) == 2]
             # one point of each type per block at least, whatever the budget
             assert prefixes and all(rows * cols <= max(budget, cols) for rows, cols in prefixes)
             assert min(rows for rows, _ in prefixes) < _STAR_ROWS // 2
+            # the plan keeps those blocks: a re-score makes the same gauge calls
+            built = shapes[:]
+            shapes.clear()
+            assert variation._star_dp(plan, gauge)[0] == value
+            assert shapes == built
+
+
+def copy_of(path):
+    return PricePath(path.times.copy(), path.values.copy())
+
+
+def assert_rescores_identical(path, gauges, orders):
+    """On a copy of ``path`` per order, the first gauge builds the plan and
+    the others re-score it; each value must be the oracle's and a new path's."""
+    y = turning_points(path.values)
+    with np.errstate(over="ignore"):  # the oracle runs the gauge with warnings on
+        expected = {phi: oracle_star_dp(y, phi.on_increments) for phi in gauges}
+    for phi in gauges:
+        assert var_phi(copy_of(path), phi) == expected[phi], phi.label
+    for order in orders:
+        twin = copy_of(path)
+        for k in order:
+            assert var_phi(twin, gauges[k]) == expected[gauges[k]], (order, gauges[k].label)
+
+
+def each_first(count):
+    """Each gauge first, the rest forwards and backwards."""
+    rest = lambda k: [j for j in range(count) if j != k]
+    return [[k] + rest(k) for k in range(count)] + [[k] + rest(k)[::-1] for k in range(count)]
+
+
+def star_plan(path):
+    return path.__dict__["_star_plan"]
+
+
+class TestStarPlan:
+    """The first star-shaped gauge on a path keeps the DP's value-only half
+    on it; every later one re-scores that plan, with the same floats."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(reduction_paths(200), edge_paths(200)), st.permutations(range(len(STAR_GAUGES))))
+    def test_any_order_matches_the_oracle(self, path, order):
+        assert_rescores_identical(path, STAR_GAUGES, [order])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0],
+            [2.0, 1.0],
+            [3.0, 3.0],
+            [1.0, 1.0, 3.0, 3.0, 2.0, 2.0],
+            [1.0, 3.0, 3.0, 3.0, 1.0],
+            [2.0, 2.0, 2.0, 5.0, 5.0, 1.0, 1.0, 4.0],
+            [1.0, 1e150, 0.0],  # p = 2.5 and 3 overflow to inf
+            [1.0, 1e300, 0.0],  # every gauge overflows to inf
+            [1.0, 1e300, 0.0, 1e300, 1.0],
+        ],
+        ids=str,
+    )
+    def test_every_order_on_two_point_plateau_and_overflow_paths(self, values):
+        orders = list(itertools.permutations(range(len(STAR_GAUGES))))
+        assert_rescores_identical(step_path(values), STAR_GAUGES, orders)
+
+    def test_overflow_to_inf_on_a_re_score(self):
+        # the plan is built on a finite value, and p = 2.5 and 3 overflow on it
+        path = step_path([1.0, 1e150, 0.0])
+        assert var_phi(path, VariationFunctional.power(1.5)) < math.inf
+        values = {phi.label: var_phi(path, phi) for phi in STAR_GAUGES[1:]}
+        assert values["p=2.5"] == values["p=3"] == math.inf
+        assert values["p=2"] < math.inf and values["psi"] < math.inf
+
+    @pytest.mark.parametrize("m", STAR_EDGE_COUNTS)
+    def test_block_edges(self, m):
+        walk = np.exp(np.cumsum(np.random.default_rng(m).normal(0.0, 0.3, size=8 * m)))
+        for y in (turning_points(walk)[:m], turning_points(drift_with_reversals(m).values)):
+            assert_rescores_identical(step_path(y), STAR_GAUGES, each_first(len(STAR_GAUGES)))
+
+    @pytest.mark.parametrize("spec", VARIATION_LONG_SPECS, ids=lambda s: f"{s['kind']}-{s.get('hurst')}")
+    def test_variation_long_paths(self, spec):
+        path = generate(GeneratorSpec(n_samples=4097, seed=5, **spec))
+        gauges = VARIATION_LONG_GAUGES + (VariationFunctional.power(3.0),)
+        assert_rescores_identical(path, gauges, each_first(len(gauges)))
+
+    def test_deep_stacks(self):
+        gauges = (VariationFunctional.power(2.5), VariationFunctional.taylor_psi())
+        assert_rescores_identical(drift_with_reversals(3001), gauges, [[0, 1], [1, 0]])
+
+    def test_growth_profile_re_scores_the_full_resolution_level(self, monkeypatch):
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=1025, hurst=0.4, seed=2))
+        before = variation_growth_profile(copy_of(path), [2.5, 3.0], [64, 1024])
+        var_phi(path, VariationFunctional.taylor_psi())
+        plan = star_plan(path)
+        fresh = []
+        star_dp = variation._star_dp
+
+        def spy(y, gauge):
+            fresh.append(not isinstance(y, variation._StarPlan))
+            return star_dp(y, gauge)
+
+        monkeypatch.setattr(variation, "_star_dp", spy)
+        assert variation_growth_profile(path, [2.5, 3.0], [64, 1024]) == before
+        # N = 64 builds a plan for p = 2.5 and re-scores it for p = 3; N = 1024
+        # is the path itself, whose plan both p re-score
+        assert fresh == [True, False, False, False]
+        assert star_plan(path) is plan
+
+    def test_the_plan_is_flat_read_only_and_linear(self):
+        for path in (
+            generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5, seed=1)),
+            drift_with_reversals(4097),
+        ):
+            var_phi(path, VariationFunctional.power(2.5))
+            plan = star_plan(path)
+            m = turning_points(path.values).shape[0]
+            assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in plan)
+            c, blocks, push, args, kept = plan
+            assert c.shape == (m,) and push.shape == (m - 1,)
+            assert blocks.ndim == 2 and blocks[-1, 0] == m
+            assert blocks[-1, 5] == args.shape[0] and blocks[-1, 6] == kept.shape[0]
+            # the entries written back are the tops read or points pushed
+            assert kept.shape[0] <= args.shape[0] + m
+
+    def test_a_path_keeps_its_equality_repr_and_pickle(self):
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=65, seed=4))
+        twin = copy_of(path)
+        pickled, text = pickle.dumps(path), repr(path)
+        var_phi(path, VariationFunctional.power(2.5))
+        assert "_star_plan" in vars(path)
+        assert path == path and not (path != path)
+        with pytest.raises(ValueError):  # fields only: numpy arrays, as without a plan
+            path == twin
+        with pytest.raises(ValueError):
+            twin == copy_of(twin)
+        assert repr(path) == text
+        assert pickle.dumps(path) == pickled
+        back = pickle.loads(pickle.dumps(path))
+        assert "_star_plan" not in vars(back)
+        assert back.times.tobytes() == path.times.tobytes()
+        assert back.values.tobytes() == path.values.tobytes()
+        assert var_phi(back, VariationFunctional.taylor_psi()) == var_phi(path, VariationFunctional.taylor_psi())
 
 
 class TestBruteForce:
@@ -916,6 +1059,20 @@ class TestGrowthProfile:
         table = variation_growth_profile(path, [2.5], [16, 64, 256])
         col = [table[(2.5, N)] for N in (16, 64, 256)]
         assert all(b >= a - 1e-12 for a, b in zip(col, col[1:]))
+
+    @pytest.mark.parametrize("N_grid", [[2.5, 8.9], [True, 4], [4, 8.0], ["16"], [None]])
+    def test_n_must_be_an_integer(self, N_grid, monkeypatch):
+        def no_size_check(n):
+            raise AssertionError("check_dp_samples ran")
+
+        monkeypatch.setattr(variation, "check_dp_samples", no_size_check)
+        with pytest.raises(BadSpec, match="N must be an integer"):
+            variation_growth_profile(step_path([1.0, 2.0, 1.5]), [2.5], N_grid)
+
+    def test_numpy_integer_n(self):
+        path = step_path([1.0, 2.0, 1.5, 3.0, 2.0])
+        table = variation_growth_profile(path, [2.5], [np.int64(2), np.int32(4)])
+        assert list(table) == [(2.5, 2), (2.5, 4)] and all(type(N) is int for _, N in table)
 
     def test_high_p_saturates_before_low_p(self):
         # direction only: above-index columns grow less under refinement

@@ -19,7 +19,13 @@ Timed: ``PricePath`` construction at 12, 66, 1025 and 4097 samples;
 and ``verify_prop3_bound`` on a prop3-long-like path (4097 exp-fractional
 samples on a 2^-16 tick, eps = delta = 0.5) at N = 1, 64, 256 and 1024;
 ``run_mixture`` of ``unboundedness_mixture(1023)`` and of a crossing
-mixture of 200 bands on that path; ``self_financing`` on 91 samples.
+mixture of 200 bands on that path; ``self_financing`` on 91 samples; on a
+variation-long-like path (4097 exp-fractional samples, hurst 0.4, sigma
+0.5), ``var_phi`` with p = 2.5 on a new ``PricePath`` each call (its
+construction, about 1% of the call, included), ``var_phi`` with psi on a path
+that an earlier p = 2.5 call scored (a tree that keeps the DP's value-only
+plan on the path re-scores it), and ``variation_growth_profile`` at p = 2.5
+on variation-long's grid N = 256, 1024 and 4096 on that same path.
 Standard library and numpy only; BLAS threads are pinned to 1.
 """
 
@@ -119,6 +125,16 @@ def cases(rm, out_dir: str) -> dict:
     edges = np.linspace(path.values.min(), path.values.max(), 201).tolist()
     crossing = mixtures.crossing_explosion_mixture(zip(edges, edges[1:]), [1.0 / 256.0] * 200)
     out["run_mixture.crossing.b200"] = lambda: mixtures.run_mixture(crossing, path)
+
+    spec = rm.GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5, seed=7)
+    frac = rm.generate(spec)
+    p25, psi_gauge = rm.VariationFunctional.power(2.5), rm.VariationFunctional.taylor_psi()
+    out["var_phi.new_path.n4097"] = lambda: rm.var_phi(rm.PricePath(frac.times, frac.values), p25)
+    rm.var_phi(frac, p25)
+    out["var_phi.second_gauge.n4097"] = lambda: rm.var_phi(frac, psi_gauge)
+    out["variation_growth_profile.n4097"] = lambda: rm.variation_growth_profile(
+        frac, [2.5], (256, 1024, 4096)
+    )
 
     rng = np.random.default_rng(5)
     position = rng.normal(size=91)
