@@ -16,7 +16,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,7 @@ class PricePath:
     def __getstate__(self):
         # the fields only: the private caches that other modules keep on a
         # path (variation's DP plan) stay out of pickles and copies
-        return {"times": self.times, "values": self.values}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def horizon(self) -> float:
@@ -207,8 +207,7 @@ def _check_types(spec: GeneratorSpec) -> None:
             raise BadSpec(f"{name} must be {what}, got {value!r}")
     for name in ("values", "times"):
         seq = getattr(spec, name)
-        # a plain float always passes, so it skips the call
-        if seq is not None and not all(type(x) is float or _is_number(x) for x in seq):
+        if seq is not None and not all(_is_number(x) for x in seq):
             raise BadSpec(f"{name} must hold numbers only")
 
 

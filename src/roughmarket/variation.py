@@ -8,12 +8,12 @@ gauges (phi(u)/u nondecreasing) :func:`var_phi` runs it on the turning points
 with a stack of undominated left ends, near-linear on typical paths, taking
 the points in blocks so that one gauge call scores the stack entries that no
 point of the block removes.  What that DP computes from the prices alone is
-kept on the path, so a further star-shaped gauge on it runs only the scoring:
-the gauge calls, the maxima and the scalar pass.  Every other DP,
-:func:`var_phi` on gauges that are not star-shaped and the mesh-constrained
-:func:`qvar_profile`, is
-:func:`_mesh_dp`: one pass over the right ends for any number of nested
-windows, in blocks, so that one gauge call per block serves every window.
+kept on a path of more than one block, so a further star-shaped gauge on it
+runs only the scoring: the gauge calls, the maxima and the scalar pass.
+Every other DP, :func:`var_phi` on gauges that are not star-shaped and the
+mesh-constrained :func:`qvar_profile`, is :func:`_mesh_dp`: one pass over
+the right ends for any number of nested windows, in blocks, so that one
+gauge call per block serves every window.
 Where the gauge is certified nondecreasing in float64 (:func:`_dp_until`),
 a left end leaves once later samples on both sides of its price have
 arrived; otherwise every left end stays, and the pass is O(n^2).  All take
@@ -369,29 +369,37 @@ _STAR_CELLS = 1 << 14
 _STAR_MIN_PREFIX = 32  # stable cells below this join the other candidates
 
 
+# gauge arguments a plan keeps per turning point, at most: price paths read
+# 5-10 tops a point, while stacks popped to the bottom block after block read
+# up to about 33, which would take a 2^16-point plan past 16 MB
+_STAR_PLAN_TOPS = 16
+
+
 class _StarPlan(NamedTuple):
     """The half of :func:`_star_dp` that depends on the prices only.
 
-    ``c`` holds the signed turning points.  Row b of ``blocks`` holds block
-    b's first point, the heights of stacks 0 and 1 as it starts, their
-    stable-prefix heights ``low``, and where its pieces start in ``args``
-    and ``kept``; a last row holds m, the final heights and the totals.
-    ``push[i - 1]`` is point i's height in its own stack, ``args`` the
-    gauge arguments c_i + c_j of the stack tops j that each point reads,
-    point by point, and ``kept`` the c of each stack above ``low`` as a
-    block ends, stack 0 then stack 1.  Flat read-only arrays: O(points +
-    tops) memory and a handful of objects, however many blocks there are.
+    ``c`` holds the signed turning points.  ``blocks`` holds seven numbers
+    per block: its first point, the heights of stacks 0 and 1 as it starts,
+    their stable-prefix heights ``low``, and where its pieces start in
+    ``args`` and ``kept``; seven more hold m, the final heights and the
+    totals.  ``push[i - 1]`` is point i's height in its own stack, ``args``
+    the gauge arguments c_i + c_j of the stack tops j that each point reads,
+    point by point, and ``kept`` the c of each stack above ``low`` as a block
+    ends, stack 0 then stack 1.  ``args`` and ``kept`` are None when the
+    points read more than :data:`_STAR_PLAN_TOPS` tops each on average; a
+    re-score then replays the tops.  Flat read-only arrays: O(points) memory
+    and a handful of objects, however many blocks there are.
     """
 
     c: np.ndarray
     blocks: np.ndarray
     push: np.ndarray
-    args: np.ndarray
-    kept: np.ndarray
+    args: np.ndarray | None
+    kept: np.ndarray | None
 
 
 @np.errstate(over="ignore")
-def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan]:
+def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan | None]:
     """The variation DP over alternating turning points ``y``, at least two,
     and its :class:`_StarPlan`; ``y`` may be that plan, from an earlier call
     on the same points, and the DP then runs its scoring half only.
@@ -423,10 +431,14 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan]:
     in preallocated arrays, written back after each block.
 
     The block bounds, the replay's heights, the tops' gauge arguments and
-    the c written back depend on the prices only.  The first call builds
-    them block by block as it scores, and keeps them as the plan; a call on
-    the plan reads them back and repeats only the gauge calls, the row
-    maxima and the scalar pass, so it gives the same floats.
+    the c written back depend on the prices only.  The first call collects
+    them block by block as it scores, and returns them as the plan; a call
+    on the plan reads them back and repeats only the gauge calls, the row
+    maxima and the scalar pass (and the tops' replay, when the plan keeps
+    no ``args``), so it gives the same floats.  Points that fit in one block
+    (at most :data:`_STAR_ROWS` + 1) get None for a plan: its bookkeeping
+    and arrays would be a visible share of so short a call, and a re-score
+    would save little.
     """
     plan = y if isinstance(y, _StarPlan) else None
     if plan is None:
@@ -434,19 +446,22 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan]:
         c[int(y[1] < y[0]) :: 2] *= -1.0  # the minima
         cl = c.tolist()
         mirrors = ([cl[0]], [])
-        blocks, pushes, parts, kept = [], [], [], []
-        n_args = 0
+        keep = len(cl) > _STAR_ROWS + 1  # more than one block
+        blocks, pushes, kept = [], [], []
+        parts = [] if keep else None  # the tops' arguments, while they are kept
+        n_args, max_args = 0, _STAR_PLAN_TOPS * len(cl)
     else:
         c = plan.c
         blocks = plan.blocks.tolist()
         pushes = plan.push.tolist()
+        cl = c.tolist() if plan.args is None else None
+    replay_tops = cl is not None
     m = c.shape[0]
     stack_c = (np.empty(m), np.empty(m))
     stack_best = (np.empty(m), np.empty(m))
     stack_c[0][0] = c[0]
     stack_best[0][0] = 0.0
-    s = 1
-    block = 0
+    s, row = 1, 0
     while s < m:
         # the first point of each type; points of type own read stack own ^ 1
         firsts = (s + (s & 1), s + 1 - (s & 1))
@@ -469,6 +484,14 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan]:
             for own in (0, 1):
                 if low[own ^ 1] * len(range(firsts[own], e, 2)) < _STAR_MIN_PREFIX:
                     low[own ^ 1] = 0
+            if keep:
+                blocks += (s, *h0, *low, n_args, len(kept))
+                pushes += push
+        else:
+            _, h0a, h0b, low0, low1, a0, k0, e, _, _, _, _, a1, _ = blocks[row : row + 14]
+            h0, low = (h0a, h0b), (low0, low1)
+            push = pushes[s - 1 : e - 1]
+        if replay_tops:
             # the entries above the prefix, replayed with their c, then their best
             top_c = [stack_c[k][low[k] : h0[k]].tolist() for k in (0, 1)]
             xs = []
@@ -480,21 +503,18 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan]:
                 counts.append(len(top))
                 del top_c[own][t - low[own] :]
                 top_c[own].append(cl[i])
-            blocks.append((s, *h0, *low, n_args, len(kept)))
-            args = None
-            if xs:
-                args = c[s:e].repeat(counts) + np.array(xs)
-                parts.append(args)
+            args = c[s:e].repeat(counts) + np.array(xs) if xs else None
+            if plan is None and parts is not None:
                 n_args += len(xs)
-            pushes += push
-            if e < m:
-                kept += top_c[0]
-                kept += top_c[1]
+                if n_args > max_args:
+                    parts = None
+                else:
+                    if xs:
+                        parts.append(args)
+                    if e < m:
+                        kept += top_c[0]
+                        kept += top_c[1]
         else:
-            _, h0a, h0b, low0, low1, a0, k0 = blocks[block]
-            e, _, _, _, _, a1, _ = blocks[block + 1]
-            h0, low = (h0a, h0b), (low0, low1)
-            push = pushes[s - 1 : e - 1]
             args = plan.args[a0:a1] if a1 > a0 else None
         top_g = iter(gauge(args).tolist() if args is not None else ())
         pre = [-math.inf] * (e - s)
@@ -514,7 +534,7 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan]:
             del top_best[own][t - low[own] :]
             top_best[own].append(best)
         if e < m:
-            if plan is not None:
+            if not replay_tops:
                 k1 = k0 + len(top_best[0])
                 top_c = (plan.kept[k0:k1], plan.kept[k1 : k1 + len(top_best[1])])
             for k in (0, 1):
@@ -522,18 +542,19 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan]:
                 stack_c[k][low[k] : h] = top_c[k]
                 stack_best[k][low[k] : h] = top_best[k]
         s = e
-        block += 1
-    if plan is None:
-        blocks.append((m, len(mirrors[0]), len(mirrors[1]), 0, 0, n_args, len(kept)))
+        row += 7
+    if plan is None and keep:
+        blocks += (m, *map(len, mirrors), 0, 0, n_args, len(kept))
         plan = _StarPlan(
             c,
-            np.array(blocks),
-            np.array(pushes, dtype=np.intp),
-            np.concatenate(parts) if parts else np.empty(0),
-            np.array(kept, dtype=np.float64),
+            np.array(blocks, dtype=np.int64),
+            np.array(pushes, dtype=np.int64),
+            None if parts is None else np.concatenate(parts) if parts else np.empty(0),
+            None if parts is None else np.array(kept, dtype=np.float64),
         )
         for a in plan:
-            a.setflags(write=False)
+            if a is not None:
+                a.flags.writeable = False
     return float(best), plan
 
 
@@ -571,9 +592,9 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     stack through a whole block are valid left ends for every point of the
     block that reads it, and one gauge call scores them all.  That replay
     and the gauge arguments it leads to depend on the prices only: the first
-    star-shaped gauge on a path keeps them on the path as a private
-    :class:`_StarPlan`, and every later one re-scores that plan, which
-    takes about half the time of a first call.  Other gauges
+    star-shaped gauge on a path of more than one block keeps them on the
+    path as a private :class:`_StarPlan`, and every later one re-scores
+    that plan, which takes about half the time of a first call.  Other gauges
     take :func:`_mesh_dp` with one unconstrained window and one row per run
     of equal prices (:func:`_level_heads`), bit-identical to the DP over
     every sample; it drops dominated left ends when the table is certified
@@ -589,7 +610,8 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
         return _mesh_dp(values, firsts, _dp_until(values, phi), phi.on_increments)[0]
     plan = path.__dict__.get("_star_plan")  # no AttributeError to raise on a new path
     best, plan = _star_dp(turning_points(path.values) if plan is None else plan, phi.on_increments)
-    object.__setattr__(path, "_star_plan", plan)  # not a field: ==, repr and pickles ignore it
+    if plan is not None:
+        object.__setattr__(path, "_star_plan", plan)  # not a field: ==, repr and pickles ignore it
     return best
 
 

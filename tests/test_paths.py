@@ -214,11 +214,10 @@ class TestGeneratePins:
                 _validate_spec(GeneratorSpec(**{"kind": "constant", "n_samples": 3, **fields}))
             assert str(e.value) == message
 
-
     @pytest.mark.parametrize("key", ["values", "times"])
     def test_mixed_sequences_keep_their_verdicts(self, key):
-        # a plain float skips _is_number; every sequence gets the verdict of
-        # checking each element with it
+        # every sequence gets the verdict of checking each element with
+        # _is_number
         elements = [
             1.5, math.nan, -0.0, 2, 2**1023, 2**1024, -(2**1024), True, False, np.bool_(True),
             np.float32(0.5), np.float64(math.inf), np.int64(3), np.uint8(7), "1.0", None, 1 + 0j,

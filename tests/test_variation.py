@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -670,6 +671,16 @@ def drift_with_reversals(n, tick=2.0**-10):
     return step_path(1.0 + np.concatenate([[0.0], np.cumsum(steps)]))
 
 
+def converging_then_expanding(n, swings=64, tick=2.0**-10):
+    """Zigzags that narrow for ``swings`` turning points, then widen for as
+    many: each cycle builds both stacks up and pops them to the bottom, so
+    the points read far more stack tops than on a price path."""
+    cycle = np.arange(n) % (2 * swings)
+    amplitude = np.where(cycle < swings, swings - cycle, cycle - swings + 1)
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return step_path(4.0 + sign * amplitude * tick)
+
+
 VARIATION_LONG_SPECS = (
     dict(kind="exp-fractional", hurst=0.4, sigma=0.5),
     dict(kind="exp-fractional", hurst=0.6, sigma=0.5),
@@ -826,6 +837,13 @@ class TestStarPlan:
         gauges = (VariationFunctional.power(2.5), VariationFunctional.taylor_psi())
         assert_rescores_identical(drift_with_reversals(3001), gauges, [[0, 1], [1, 0]])
 
+    def test_a_plan_without_its_tops_replays_them(self):
+        path = converging_then_expanding(1024)
+        twin = copy_of(path)
+        var_phi(twin, STAR_GAUGES[0])
+        assert star_plan(twin).args is None and star_plan(twin).kept is None
+        assert_rescores_identical(path, STAR_GAUGES, each_first(len(STAR_GAUGES)))
+
     def test_growth_profile_re_scores_the_full_resolution_level(self, monkeypatch):
         path = generate(GeneratorSpec(kind="exp-fractional", n_samples=1025, hurst=0.4, seed=2))
         before = variation_growth_profile(copy_of(path), [2.5, 3.0], [64, 1024])
@@ -840,29 +858,52 @@ class TestStarPlan:
 
         monkeypatch.setattr(variation, "_star_dp", spy)
         assert variation_growth_profile(path, [2.5, 3.0], [64, 1024]) == before
-        # N = 64 builds a plan for p = 2.5 and re-scores it for p = 3; N = 1024
-        # is the path itself, whose plan both p re-score
-        assert fresh == [True, False, False, False]
+        # N = 64 fits in one block and keeps no plan; N = 1024 is the path
+        # itself, whose plan both p re-score
+        assert fresh == [True, True, False, False]
         assert star_plan(path) is plan
 
     def test_the_plan_is_flat_read_only_and_linear(self):
         for path in (
             generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5, seed=1)),
             drift_with_reversals(4097),
+            converging_then_expanding(4096),
         ):
             var_phi(path, VariationFunctional.power(2.5))
-            plan = star_plan(path)
             m = turning_points(path.values).shape[0]
-            assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in plan)
+            plan = star_plan(path)
+            var_phi(path, VariationFunctional.taylor_psi())
+            assert star_plan(path) is plan
+            arrays = [a for a in plan if a is not None]
+            assert all(isinstance(a, np.ndarray) and a.ndim == 1 and not a.flags.writeable for a in arrays)
             c, blocks, push, args, kept = plan
-            assert c.shape == (m,) and push.shape == (m - 1,)
-            assert blocks.ndim == 2 and blocks[-1, 0] == m
-            assert blocks[-1, 5] == args.shape[0] and blocks[-1, 6] == kept.shape[0]
+            assert c.shape == (m,) and push.shape == (m - 1,) and blocks.shape[0] % 7 == 0
+            assert blocks[-7] == m and blocks.shape[0] <= 7 * m
+            if args is None:  # too many tops a point to keep: only the zigzags
+                assert kept is None and blocks[-2] > variation._STAR_PLAN_TOPS * m
+                continue
+            assert blocks[-2] == args.shape[0] <= variation._STAR_PLAN_TOPS * m
+            assert blocks[-1] == kept.shape[0]
             # the entries written back are the tops read or points pushed
             assert kept.shape[0] <= args.shape[0] + m
 
+    @pytest.mark.parametrize("m", (2, 3, _STAR_ROWS, _STAR_ROWS + 1, _STAR_ROWS + 2))
+    def test_one_block_keeps_no_plan(self, m):
+        walk = np.exp(np.cumsum(np.random.default_rng(m).normal(0.0, 0.3, size=8 * m)))
+        y = turning_points(walk)[:m]
+        path = step_path(y)
+        gauge = VariationFunctional.power(2.5).on_increments
+        value, plan = variation._star_dp(y, gauge)
+        assert var_phi(path, VariationFunctional.power(2.5)) == value
+        # the first point starts the stacks, and a block takes _STAR_ROWS more
+        if m <= _STAR_ROWS + 1:
+            assert plan is None and "_star_plan" not in vars(path)
+        else:
+            assert isinstance(star_plan(path), variation._StarPlan)
+            assert variation._star_dp(plan, gauge) == (value, plan)
+
     def test_a_path_keeps_its_equality_repr_and_pickle(self):
-        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=65, seed=4))
+        path = generate(GeneratorSpec(kind="exp-fractional", n_samples=513, seed=4))
         twin = copy_of(path)
         pickled, text = pickle.dumps(path), repr(path)
         var_phi(path, VariationFunctional.power(2.5))
@@ -874,6 +915,7 @@ class TestStarPlan:
             twin == copy_of(twin)
         assert repr(path) == text
         assert pickle.dumps(path) == pickled
+        assert path.__getstate__().keys() == {f.name for f in dataclasses.fields(PricePath)}
         back = pickle.loads(pickle.dumps(path))
         assert "_star_plan" not in vars(back)
         assert back.times.tobytes() == path.times.tobytes()
