@@ -53,7 +53,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class PricePath:
     """Sampled positive price trajectory, read as a right-continuous step function.
 
-    Immutable after construction and safe to share across workers.
+    Immutable after construction and safe to share across workers.  Two
+    paths are ``==`` when their times and values are; a path is not
+    hashable.  :func:`~roughmarket.variation.var_phi` keeps what it scored on
+    a path (its DP plan and its values by gauge) in private attributes that
+    are not fields, so ``==``, ``repr``, copies and pickles ignore them, and
+    an equal path built anew starts without them.
     """
 
     times: np.ndarray
@@ -81,9 +86,15 @@ class PricePath:
         if values.min() < 0.0:  # no NaN is left, and -0.0 passes
             raise NonPositiveValue("price samples must be >= 0")
 
+    def __eq__(self, other):
+        # the dataclass one compares the arrays inside a tuple, which raises
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.times, other.times) and np.array_equal(self.values, other.values)
+
     def __getstate__(self):
         # the fields only: the private caches that other modules keep on a
-        # path (variation's DP plan) stay out of pickles and copies
+        # path (variation's DP plan and values) stay out of pickles and copies
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property

@@ -10,10 +10,11 @@ the points in blocks so that one gauge call scores the stack entries that no
 point of the block removes.  What that DP computes from the prices alone is
 kept on a path of more than one block, so a further star-shaped gauge on it
 runs only the scoring: the gauge calls, the maxima and the scalar pass.
-Every other DP, :func:`var_phi` on gauges that are not star-shaped and the
-mesh-constrained :func:`qvar_profile`, is :func:`_mesh_dp`: one pass over
-the right ends for any number of nested windows, in blocks, so that one
-gauge call per block serves every window.
+The value of each gauge is kept on the path too, so an equal gauge runs no
+DP at all.  Every other DP, :func:`var_phi` on gauges that are not
+star-shaped and the mesh-constrained :func:`qvar_profile`, is
+:func:`_mesh_dp`: one pass over the right ends for any number of nested
+windows, in blocks, so that one gauge call per block serves every window.
 Where the gauge is certified nondecreasing in float64 (:func:`_dp_until`),
 a left end leaves once later samples on both sides of its price have
 arrived; otherwise every left end stays, and the pass is O(n^2).  All take
@@ -104,8 +105,8 @@ class VariationFunctional:
                 raise InadmissiblePhi("table gauge must start at phi(0) = 0")
             if not np.all(np.diff(u) > 0):
                 raise InadmissiblePhi("table nodes must be strictly increasing")
-            if np.any(v < 0.0):
-                raise InadmissiblePhi("gauge values must be >= 0")
+            if not (v >= 0.0).all():  # NaN too: the DPs assume no NaN candidate
+                raise InadmissiblePhi("gauge values must be >= 0, and not NaN")
             object.__setattr__(self, "table_u", tuple(float(x) for x in u))
             object.__setattr__(self, "table_phi", tuple(float(x) for x in v))
             # node arrays for on_increments, built once; not dataclass
@@ -388,7 +389,10 @@ class _StarPlan(NamedTuple):
     ends, stack 0 then stack 1.  ``args`` and ``kept`` are None when the
     points read more than :data:`_STAR_PLAN_TOPS` tops each on average; a
     re-score then replays the tops.  Flat read-only arrays: O(points) memory
-    and a handful of objects, however many blocks there are.
+    and a handful of objects, however many blocks there are.  ``blocks`` and
+    ``push`` are int32: each entry counts points, at most m <=
+    :data:`MAX_DP_SAMPLES`, or tops and kept entries, which stop being
+    counted within one block of passing 16 m.
     """
 
     c: np.ndarray
@@ -547,8 +551,8 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan | None]:
         blocks += (m, *map(len, mirrors), 0, 0, n_args, len(kept))
         plan = _StarPlan(
             c,
-            np.array(blocks, dtype=np.int64),
-            np.array(pushes, dtype=np.int64),
+            np.array(blocks, dtype=np.int32),
+            np.array(pushes, dtype=np.int32),
             None if parts is None else np.concatenate(parts) if parts else np.empty(0),
             None if parts is None else np.array(kept, dtype=np.float64),
         )
@@ -599,7 +603,29 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     of equal prices (:func:`_level_heads`), bit-identical to the DP over
     every sample; it drops dominated left ends when the table is certified
     nondecreasing (:func:`_dp_until`), and is O(n^2) otherwise.
+
+    The path also keeps each value returned, by gauge, in a private dict:
+    a gauge equal to one scored before on the same path (gauges are frozen
+    and compare by kind and parameters) returns that float and runs no DP.
+    Like the plan, the dict is not a field, so it stays out of ``==``,
+    ``repr``, copies and pickles, and an equal path built anew starts
+    without it.  A call that raises keeps nothing.
     """
+    # private attributes, not fields: ==, repr and pickles ignore them, and a
+    # new path has neither (no AttributeError to raise)
+    scores = path.__dict__.get("_var_phi")
+    if scores is not None and phi in scores:
+        return scores[phi]
+    value = _score(path, phi)
+    if scores is None:
+        scores = {}
+        object.__setattr__(path, "_var_phi", scores)
+    scores[phi] = value
+    return value
+
+
+def _score(path: PricePath, phi: VariationFunctional) -> float:
+    """:func:`var_phi` without its values kept on the path."""
     if phi.kind == "power" and phi.p <= 1.0:
         d = np.abs(np.diff(path.values))
         return _fsum_nonneg(d**phi.p)
@@ -608,10 +634,10 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
         values = path.values[_level_heads(path.values)]
         firsts = np.zeros((1, values.shape[0]), dtype=np.intp)
         return _mesh_dp(values, firsts, _dp_until(values, phi), phi.on_increments)[0]
-    plan = path.__dict__.get("_star_plan")  # no AttributeError to raise on a new path
+    plan = path.__dict__.get("_star_plan")
     best, plan = _star_dp(turning_points(path.values) if plan is None else plan, phi.on_increments)
     if plan is not None:
-        object.__setattr__(path, "_star_plan", plan)  # not a field: ==, repr and pickles ignore it
+        object.__setattr__(path, "_star_plan", plan)
     return best
 
 
@@ -887,8 +913,9 @@ def variation_growth_profile(path: PricePath, p_grid, N_grid) -> dict:
     Raises :class:`BadSpec` unless each N is an integer (``bool`` is not),
     :class:`BadStep` unless ``N_grid`` increases, :class:`TooLarge` past the
     DP limit.  The level N = n - 1 of an n-sample path on the uniform grid
-    is the path itself (:func:`discretize`), so it reuses the DP plan that
-    :func:`var_phi` keeps on the path.
+    is the path itself (:func:`discretize`), so it reads what :func:`var_phi`
+    keeps on the path: the value of a p scored there before, with no DP, or
+    else a re-score of its DP plan.
     """
     N_grid = [_integer_steps(N) for N in N_grid]
     if any(n2 <= n1 for n1, n2 in zip(N_grid, N_grid[1:])):

@@ -58,6 +58,28 @@ class TestMakePath:
         with pytest.raises(ValueError):
             p.values[0] = 5.0
 
+    @pytest.mark.parametrize(
+        "times, values, equal",
+        [
+            ([0, 0.5, 1], [1, 2, 1], True),  # a twin built anew
+            ([0, 0.5, 1], [1, 2, 1.5], False),
+            ([0, 0.25, 1], [1, 2, 1], False),
+            ([0, 1], [1, 1], False),
+        ],
+    )
+    def test_equality_compares_the_samples(self, times, values, equal):
+        p = make_path([0, 0.5, 1], [1, 2, 1], 1)
+        q = make_path(times, values, 1)
+        assert (p == q, q == p, p != q) == (equal, equal, not equal)
+        with pytest.raises(TypeError):  # not hashable, equal or not
+            hash(q)
+
+    @pytest.mark.parametrize("other", [None, 1.0, (np.array([0.0, 1.0]), np.array([1.0, 1.0])), "path"])
+    def test_a_non_path_is_never_equal(self, other):
+        p = make_path([0, 1], [1, 1], 1)
+        assert p.__eq__(other) is NotImplemented
+        assert not (p == other) and p != other
+
     def test_step_evaluation(self):
         p = make_path([0, 0.25, 1], [1, 2, 3], 1)
         assert p.value_at(0.0) == 1.0

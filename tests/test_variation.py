@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -26,7 +27,7 @@ from roughmarket import (
     variation_growth_profile,
 )
 from roughmarket import variation
-from roughmarket.errors import BadSpec, BadStep, TooLarge
+from roughmarket.errors import BadSpec, BadStep, InadmissiblePhi, TooLarge
 from roughmarket.paths import discretize
 from roughmarket.variation import (
     _DP_CELLS,
@@ -907,20 +908,112 @@ class TestStarPlan:
         twin = copy_of(path)
         pickled, text = pickle.dumps(path), repr(path)
         var_phi(path, VariationFunctional.power(2.5))
-        assert "_star_plan" in vars(path)
+        assert "_star_plan" in vars(path) and "_var_phi" in vars(path)
         assert path == path and not (path != path)
-        with pytest.raises(ValueError):  # fields only: numpy arrays, as without a plan
-            path == twin
-        with pytest.raises(ValueError):
-            twin == copy_of(twin)
+        assert path == twin and twin == path and twin == copy_of(twin)  # the fields only
         assert repr(path) == text
         assert pickle.dumps(path) == pickled
         assert path.__getstate__().keys() == {f.name for f in dataclasses.fields(PricePath)}
         back = pickle.loads(pickle.dumps(path))
-        assert "_star_plan" not in vars(back)
+        assert "_star_plan" not in vars(back) and "_var_phi" not in vars(back)
         assert back.times.tobytes() == path.times.tobytes()
         assert back.values.tobytes() == path.values.tobytes()
         assert var_phi(back, VariationFunctional.taylor_psi()) == var_phi(path, VariationFunctional.taylor_psi())
+
+
+@pytest.fixture
+def dp_calls(monkeypatch):
+    """The DP kernels that var_phi runs, in call order: "star" or "mesh"."""
+    calls = []
+    star_dp, mesh_dp = variation._star_dp, variation._mesh_dp
+
+    def star_spy(y, gauge):
+        calls.append("star")
+        return star_dp(y, gauge)
+
+    def mesh_spy(values, firsts, until, gauge):
+        calls.append("mesh")
+        return mesh_dp(values, firsts, until, gauge)
+
+    monkeypatch.setattr(variation, "_star_dp", star_spy)
+    monkeypatch.setattr(variation, "_mesh_dp", mesh_spy)
+    return calls
+
+
+class TestScoreCache:
+    """A path keeps the value of each gauge var_phi scored on it; a call with
+    an equal gauge returns that float and runs no DP."""
+
+    PATH = GeneratorSpec(kind="exp-fractional", n_samples=1025, hurst=0.4, seed=3)
+
+    @pytest.mark.parametrize(
+        "phi, kernel",
+        [(phi, "star") for phi in STAR_GAUGES]
+        + [(SQRT_TABLE, "mesh"), (VariationFunctional.power(0.5), None)],
+        ids=lambda x: getattr(x, "label", x),
+    )
+    def test_a_repeated_gauge_runs_no_dp(self, phi, kernel, dp_calls):
+        path = generate(self.PATH)
+        first = var_phi(path, phi)
+        assert dp_calls == ([kernel] if kernel else [])
+        for _ in range(3):
+            assert var_phi(path, phi) == first
+        assert len(dp_calls) == (1 if kernel else 0)
+        assert vars(path)["_var_phi"] == {phi: first}
+        assert first == var_phi(generate(self.PATH), phi)
+
+    def test_an_equal_gauge_hits_and_another_re_scores_the_plan(self, dp_calls):
+        fresh_psi = var_phi(generate(self.PATH), VariationFunctional.taylor_psi())
+        path = generate(self.PATH)
+        dp_calls.clear()
+        first = var_phi(path, VariationFunctional.power(2.5))
+        plan = star_plan(path)
+        assert var_phi(path, VariationFunctional.power(2.5)) == first
+        assert var_p(path, 2.5) == first
+        assert dp_calls == ["star"]
+        assert var_phi(path, VariationFunctional.taylor_psi()) == fresh_psi
+        assert dp_calls == ["star", "star"] and star_plan(path) is plan
+        table = STAR_GAUGES[-1]
+        again = VariationFunctional.from_table(table.table_u, table.table_phi)
+        assert again is not table and again == table
+        assert var_phi(path, table) == var_phi(path, again)
+        assert dp_calls == ["star"] * 3
+
+    def test_growth_profile_after_var_phi_runs_no_dp_at_full_resolution(self, dp_calls):
+        path = generate(self.PATH)
+        before = variation_growth_profile(copy_of(path), [2.5], [64, 1024])
+        value = var_phi(path, VariationFunctional.power(2.5))
+        assert value == before[(2.5, 1024)]
+        dp_calls.clear()
+        assert variation_growth_profile(path, [2.5], [64, 1024]) == before
+        assert dp_calls == ["star"]  # N = 64 only: N = 1024 is the path itself
+
+    def test_copies_pickles_and_equal_twins_start_empty(self):
+        path = generate(self.PATH)
+        var_phi(path, VariationFunctional.power(2.5))
+        var_phi(path, SQRT_TABLE)
+        assert len(vars(path)["_var_phi"]) == 2
+        for other in (
+            copy.copy(path),
+            copy.deepcopy(path),
+            pickle.loads(pickle.dumps(path)),
+            copy_of(path),
+            PricePath(path.times, path.values),
+            path.with_values(path.values),
+        ):
+            assert other == path and "_var_phi" not in vars(other) and "_star_plan" not in vars(other)
+            assert var_phi(other, SQRT_TABLE) == var_phi(path, SQRT_TABLE)
+            assert list(vars(other)["_var_phi"]) == [SQRT_TABLE]
+        assert len(vars(path)["_var_phi"]) == 2
+
+    def test_a_call_that_raises_keeps_nothing(self, dp_calls):
+        path = step_path(np.ones(MAX_DP_SAMPLES + 1))
+        for phi in (VariationFunctional.power(2.5), SQRT_TABLE):
+            for _ in range(2):
+                with pytest.raises(TooLarge):
+                    var_phi(path, phi)
+        assert "_var_phi" not in vars(path) and "_star_plan" not in vars(path)
+        assert dp_calls == []
 
 
 class TestBruteForce:
@@ -967,6 +1060,16 @@ class TestVarSigned:
 
 class TestTableGauge:
     TABLES = (SQRT_TABLE, VariationFunctional.from_table(DIP_TABLE_U, DIP_TABLE_PHI), STAR_GAUGES[-1])
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [((0, 1), (0, math.nan)), ((0, 1, 2), (0, math.nan, 4)), ((0, 1, 2), (0, 1, math.nan)), ((0, 1), (0, -1))],
+        ids=str,
+    )
+    def test_nan_and_negative_values_are_refused(self, u, v):
+        # a NaN gauge value would make the DPs return -inf or 0.0 with no error
+        with pytest.raises(InadmissiblePhi, match="gauge values must be >= 0"):
+            VariationFunctional.from_table(u, v)
 
     @staticmethod
     def whole_array(phi, d):

@@ -22,10 +22,14 @@ samples on a 2^-16 tick, eps = delta = 0.5) at N = 1, 64, 256 and 1024;
 mixture of 200 bands on that path; ``self_financing`` on 91 samples; on a
 variation-long-like path (4097 exp-fractional samples, hurst 0.4, sigma
 0.5), ``var_phi`` with p = 2.5 on a new ``PricePath`` each call (its
-construction, about 1% of the call, included), ``var_phi`` with psi on a path
-that an earlier p = 2.5 call scored (a tree that keeps the DP's value-only
-plan on the path re-scores it), and ``variation_growth_profile`` at p = 2.5
-on variation-long's grid N = 256, 1024 and 4096 on that same path.
+construction, about 1% of the call, included); ``var_phi`` with psi on a new
+``PricePath`` each call that carries the DP's value-only plan, which an
+earlier p = 2.5 call kept on the scored path (a tree that keeps that plan
+re-scores it; one that keeps values per gauge finds none on the new path);
+``var_phi`` with p = 2.5 again on the scored path (a tree that keeps values
+per gauge returns the kept one); and ``variation_growth_profile`` at p = 2.5
+on variation-long's grid N = 256, 1024 and 4096 on the scored path, whose
+level N = 4096 is the path itself.
 Standard library and numpy only; BLAS threads are pinned to 1.
 """
 
@@ -131,7 +135,18 @@ def cases(rm, out_dir: str) -> dict:
     p25, psi_gauge = rm.VariationFunctional.power(2.5), rm.VariationFunctional.taylor_psi()
     out["var_phi.new_path.n4097"] = lambda: rm.var_phi(rm.PricePath(frac.times, frac.values), p25)
     rm.var_phi(frac, p25)
-    out["var_phi.second_gauge.n4097"] = lambda: rm.var_phi(frac, psi_gauge)
+    plan = frac.__dict__.get("_star_plan")
+
+    def second_gauge():
+        # a new path that carries the DP plan the p = 2.5 call kept and no
+        # values, so a tree that keeps values per gauge re-scores it as well
+        fresh = rm.PricePath(frac.times, frac.values)
+        if plan is not None:
+            object.__setattr__(fresh, "_star_plan", plan)
+        return rm.var_phi(fresh, psi_gauge)
+
+    out["var_phi.second_gauge.n4097"] = second_gauge
+    out["var_phi.repeat.n4097"] = lambda: rm.var_phi(frac, p25)
     out["variation_growth_profile.n4097"] = lambda: rm.variation_growth_profile(
         frac, [2.5], (256, 1024, 4096)
     )
