@@ -108,7 +108,7 @@ class PricePath:
     def value_at(self, t) -> np.ndarray | float:
         """Evaluate the step function at time(s) t in [0, horizon]."""
         t_arr = np.asarray(t, dtype=np.float64)
-        if np.any(t_arr < 0.0) or np.any(t_arr > self.horizon):
+        if not np.all((t_arr >= 0.0) & (t_arr <= self.horizon)):  # NaN too
             raise BadTimeGrid("evaluation time outside [0, T]")
         idx = np.searchsorted(self.times, t_arr, side="right") - 1
         out = self.values[idx]

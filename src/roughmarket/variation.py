@@ -7,9 +7,9 @@ index subsequences therefore computes the true supremum.  For star-shaped
 gauges (phi(u)/u nondecreasing) :func:`var_phi` runs it on the turning points
 with a stack of undominated left ends, near-linear on typical paths, taking
 the points in blocks so that one gauge call scores the stack entries that no
-point of the block removes.  What that DP computes from the prices alone is
-kept on a path of more than one block, so a further star-shaped gauge on it
-runs only the scoring: the gauge calls, the maxima and the scalar pass.
+point of the block removes.  What that DP needs from the prices alone comes
+from one producer, a record per block; a path of more than one block keeps
+the records, so a further star-shaped gauge on it runs only the scoring loop.
 The value of each gauge is kept on the path too, so an equal gauge runs no
 DP at all.  Every other DP, :func:`var_phi` on gauges that are not
 star-shaped and the mesh-constrained :func:`qvar_profile`, is
@@ -368,45 +368,122 @@ _STAR_ROWS = 128  # turning points per block of _star_dp; 96-192 measure alike
 # 128 KB and more measured 2x slower per cell with psi
 _STAR_CELLS = 1 << 14
 _STAR_MIN_PREFIX = 32  # stable cells below this join the other candidates
-
-
-# gauge arguments a plan keeps per turning point, at most: price paths read
-# 5-10 tops a point, while stacks popped to the bottom block after block read
-# up to about 33, which would take a 2^16-point plan past 16 MB
+# gauge arguments a turning point past which a path keeps no plan: price paths
+# read 5-10 tops a point, while stacks popped to the bottom block after block
+# read up to about 33, which would take a 2^16-point plan past 16 MB
 _STAR_PLAN_TOPS = 16
 
 
-class _StarPlan(NamedTuple):
-    """The half of :func:`_star_dp` that depends on the prices only.
+def _star_blocks(c: np.ndarray):
+    """What :func:`_star_dp` needs from the prices, one record per block of
+    the signed turning points ``c``: ``(e, low, push, args, kept)``.
 
-    ``c`` holds the signed turning points.  ``blocks`` holds seven numbers
-    per block: its first point, the heights of stacks 0 and 1 as it starts,
-    their stable-prefix heights ``low``, and where its pieces start in
-    ``args`` and ``kept``; seven more hold m, the final heights and the
-    totals.  ``push[i - 1]`` is point i's height in its own stack, ``args``
-    the gauge arguments c_i + c_j of the stack tops j that each point reads,
-    point by point, and ``kept`` the c of each stack above ``low`` as a block
-    ends, stack 0 then stack 1.  ``args`` and ``kept`` are None when the
-    points read more than :data:`_STAR_PLAN_TOPS` tops each on average; a
-    re-score then replays the tops.  Flat read-only arrays: O(points) memory
-    and a handful of objects, however many blocks there are.  ``blocks`` and
-    ``push`` are int32: each entry counts points, at most m <=
-    :data:`MAX_DP_SAMPLES`, or tops and kept entries, which stop being
-    counted within one block of passing 16 m.
+    Replays the block's pops and pushes on lists of each stack's c, then its
+    tops from the block's start.  ``e`` ends the block, which starts where
+    the last one ended (the first at 1); ``low`` holds the stable-prefix
+    heights, ``push`` each point's height in its own stack, ``args`` the
+    gauge arguments c_i + c_j of the tops j that each point reads, point by
+    point, and ``kept`` each stack's c above ``low`` as the block ends.
+    """
+    cl = c.tolist()
+    m = len(cl)
+    stacks = ([cl[0]], [])
+    before = ([cl[0]], [])  # the stacks as the block starts
+    s = 1
+    while s < m:
+        low = [len(stack) for stack in stacks]
+        e = min(m, s + max(2, min(_STAR_ROWS, _STAR_CELLS // max(low))))
+        push = []
+        for i in range(s, e):
+            ci = cl[i]
+            own = i & 1
+            stack = stacks[own]
+            while stack and stack[-1] <= ci:
+                stack.pop()
+            t = len(stack)
+            if t < low[own]:
+                low[own] = t
+            push.append(t)
+            stack.append(ci)
+        # the first point of each type; points of type own read stack own ^ 1
+        firsts = (s + (s & 1), s + 1 - (s & 1))
+        for own in (0, 1):
+            if low[own ^ 1] * len(range(firsts[own], e, 2)) < _STAR_MIN_PREFIX:
+                low[own ^ 1] = 0
+        tops = [before[k][low[k] :] for k in (0, 1)]
+        xs = []
+        counts = []
+        for i, t in zip(range(s, e), push):
+            own = i & 1
+            top = tops[own ^ 1]
+            xs += top
+            counts.append(len(top))
+            del tops[own][t - low[own] :]
+            tops[own].append(cl[i])
+        for k in (0, 1):
+            before[k][low[k] :] = tops[k]
+        yield e, low, push, c[s:e].repeat(counts) + np.array(xs), tops
+        s = e
+
+
+class _StarPlan(NamedTuple):
+    """The records of :func:`_star_blocks` on one set of turning points, as
+    :func:`_recorded` lays them end to end in five flat read-only arrays:
+    O(points) memory and a handful of objects, however many blocks there are.
+
+    ``c`` holds the signed turning points, and ``blocks`` six numbers per
+    block: its end, its ``low``, and where its pieces of ``args`` and of
+    each stack's ``kept`` end.  ``blocks`` and ``push`` are int32: each
+    entry counts points, at most m <= :data:`MAX_DP_SAMPLES`, or gauge
+    arguments and kept entries, O(:data:`_STAR_PLAN_TOPS` m).
     """
 
     c: np.ndarray
     blocks: np.ndarray
     push: np.ndarray
-    args: np.ndarray | None
-    kept: np.ndarray | None
+    args: np.ndarray
+    kept: np.ndarray
+
+    def records(self):
+        """The records that :func:`_star_blocks` yields on ``c``, read back."""
+        push = self.push.tolist()
+        s, a, k = 1, 0, 0
+        for e, low0, low1, a_end, k_mid, k_end in self.blocks.reshape(-1, 6).tolist():
+            kept = (self.kept[k:k_mid], self.kept[k_mid:k_end])
+            yield e, [low0, low1], push[s - 1 : e - 1], self.args[a:a_end], kept
+            s, a, k = e, a_end, k_end
+
+
+def _recorded(records, c: np.ndarray, plans: list):
+    """``records`` of ``c``, passed through; at their end, their plan goes on
+    ``plans``, unless their ``args`` pass :data:`_STAR_PLAN_TOPS` a point,
+    where recording stops."""
+    rows, pushes, parts, kept = [], [], [], []
+    n_args = 0
+    for e, low, push, args, tops in records:
+        yield e, low, push, args, tops
+        n_args += args.shape[0]
+        if n_args > _STAR_PLAN_TOPS * c.shape[0]:
+            yield from records
+            return
+        pushes += push
+        parts.append(args)
+        kept += tops[0]
+        rows += (e, *low, n_args, len(kept), len(kept) + len(tops[1]))
+        kept += tops[1]
+    plan = _StarPlan(
+        c, np.array(rows, dtype=np.int32), np.array(pushes, dtype=np.int32), np.concatenate(parts), np.array(kept)
+    )
+    for a in plan:
+        a.flags.writeable = False
+    plans.append(plan)
 
 
 @np.errstate(over="ignore")
 def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan | None]:
     """The variation DP over alternating turning points ``y``, at least two,
     and its :class:`_StarPlan`; ``y`` may be that plan, from an earlier call
-    on the same points, and the DP then runs its scoring half only.
+    on the same points.
 
     Extrema of one type have indices of one parity, and each parity keeps a
     stack of its undominated entries (see :func:`var_phi`).  With c = y at
@@ -418,109 +495,44 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan | None]:
 
     Points go in blocks of :data:`_STAR_ROWS`, fewer when the deeper stack
     times the rows would pass :data:`_STAR_CELLS`.  The pops read c, never
-    best, so a first pass over the block replays them, with the Python lists
-    that mirror each stack's c, and finds the lowest height each stack falls
-    to.  The entries below that height are the stable prefix: no point of
-    the block pops or overwrites them, and a stack is only ever cut from
-    the top, so every one of them is on the stack whenever a point of the
-    other type reads it.  The prefix is scored for all those points with one
+    best, so :func:`_star_blocks` replays them first and finds the lowest
+    height each stack falls to.  The entries below it are the stable prefix:
+    no point of the block pops or overwrites them, and a stack is only ever
+    cut from the top, so each is on the stack whenever a point of the other
+    type reads it.  The prefix is scored for all those points with one
     gauge call on a (points x prefix) array and one row max, unless it has
     fewer than :data:`_STAR_MIN_PREFIX` cells.  The other entries a point
-    reads (pushed in the block, or popped in it) take one gauge call on
-    their pairs, and a scalar pass replays the stack tops with their best.
-    Every candidate is the same float sum as in the point-at-a-time DP,
-    which reads the whole opposite stack, and max is exact (no candidate is
-    NaN: increments of finite prices are finite, and the gauges map them to
-    non-NaN values), so the result is bit-identical to it.  The stacks live
-    in preallocated arrays, written back after each block.
+    reads take one gauge call on the record's ``args``, and a scalar pass
+    replays the stack tops with their best.  Every candidate is the same
+    float sum as in the point-at-a-time DP, which reads the whole opposite
+    stack, and max is exact (no candidate is NaN: increments of finite
+    prices are finite, and the gauges map them to non-NaN values), so the
+    result is bit-identical to it.  The stacks live in preallocated arrays,
+    written back after each block from the record's ``kept``.
 
-    The block bounds, the replay's heights, the tops' gauge arguments and
-    the c written back depend on the prices only.  The first call collects
-    them block by block as it scores, and returns them as the plan; a call
-    on the plan reads them back and repeats only the gauge calls, the row
-    maxima and the scalar pass (and the tops' replay, when the plan keeps
-    no ``args``), so it gives the same floats.  Points that fit in one block
-    (at most :data:`_STAR_ROWS` + 1) get None for a plan: its bookkeeping
-    and arrays would be a visible share of so short a call, and a re-score
-    would save little.
+    One loop scores the records, from :func:`_star_blocks` or read back
+    from a plan (:meth:`_StarPlan.records`), so a re-score gives the same
+    floats.  A first call on over :data:`_STAR_ROWS` + 1 points records a
+    plan (:func:`_recorded`); one block's would cost more than it saves.
     """
-    plan = y if isinstance(y, _StarPlan) else None
-    if plan is None:
+    if isinstance(y, _StarPlan):
+        c, records, plans = y.c, y.records(), [y]
+    else:
         c = y.copy()
         c[int(y[1] < y[0]) :: 2] *= -1.0  # the minima
-        cl = c.tolist()
-        mirrors = ([cl[0]], [])
-        keep = len(cl) > _STAR_ROWS + 1  # more than one block
-        blocks, pushes, kept = [], [], []
-        parts = [] if keep else None  # the tops' arguments, while they are kept
-        n_args, max_args = 0, _STAR_PLAN_TOPS * len(cl)
-    else:
-        c = plan.c
-        blocks = plan.blocks.tolist()
-        pushes = plan.push.tolist()
-        cl = c.tolist() if plan.args is None else None
-    replay_tops = cl is not None
+        records, plans = _star_blocks(c), []
+        if c.shape[0] > _STAR_ROWS + 1:
+            records = _recorded(records, c, plans)
     m = c.shape[0]
     stack_c = (np.empty(m), np.empty(m))
     stack_best = (np.empty(m), np.empty(m))
     stack_c[0][0] = c[0]
     stack_best[0][0] = 0.0
-    s, row = 1, 0
-    while s < m:
-        # the first point of each type; points of type own read stack own ^ 1
+    heights = [1, 0]
+    s = 1
+    for e, low, push, args, kept in records:
         firsts = (s + (s & 1), s + 1 - (s & 1))
-        if plan is None:
-            h0 = (len(mirrors[0]), len(mirrors[1]))
-            e = min(m, s + max(2, min(_STAR_ROWS, _STAR_CELLS // max(h0))))
-            low = list(h0)
-            push = []  # each point's height in its own stack
-            for i in range(s, e):
-                ci = cl[i]
-                own = i & 1
-                stack = mirrors[own]
-                while stack and stack[-1] <= ci:
-                    stack.pop()
-                t = len(stack)
-                if t < low[own]:
-                    low[own] = t
-                push.append(t)
-                stack.append(ci)
-            for own in (0, 1):
-                if low[own ^ 1] * len(range(firsts[own], e, 2)) < _STAR_MIN_PREFIX:
-                    low[own ^ 1] = 0
-            if keep:
-                blocks += (s, *h0, *low, n_args, len(kept))
-                pushes += push
-        else:
-            _, h0a, h0b, low0, low1, a0, k0, e, _, _, _, _, a1, _ = blocks[row : row + 14]
-            h0, low = (h0a, h0b), (low0, low1)
-            push = pushes[s - 1 : e - 1]
-        if replay_tops:
-            # the entries above the prefix, replayed with their c, then their best
-            top_c = [stack_c[k][low[k] : h0[k]].tolist() for k in (0, 1)]
-            xs = []
-            counts = []
-            for i, t in zip(range(s, e), push):
-                own = i & 1
-                top = top_c[own ^ 1]
-                xs += top
-                counts.append(len(top))
-                del top_c[own][t - low[own] :]
-                top_c[own].append(cl[i])
-            args = c[s:e].repeat(counts) + np.array(xs) if xs else None
-            if plan is None and parts is not None:
-                n_args += len(xs)
-                if n_args > max_args:
-                    parts = None
-                else:
-                    if xs:
-                        parts.append(args)
-                    if e < m:
-                        kept += top_c[0]
-                        kept += top_c[1]
-        else:
-            args = plan.args[a0:a1] if a1 > a0 else None
-        top_g = iter(gauge(args).tolist() if args is not None else ())
+        top_g = iter(gauge(args).tolist())
         pre = [-math.inf] * (e - s)
         for own in (0, 1):
             h = low[own ^ 1]
@@ -528,7 +540,7 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan | None]:
                 cand = gauge(c[firsts[own] : e : 2, None] + stack_c[own ^ 1][:h])
                 cand += stack_best[own ^ 1][:h]  # in place: one array fewer
                 pre[firsts[own] - s :: 2] = cand.max(axis=1).tolist()
-        top_best = [stack_best[k][low[k] : h0[k]].tolist() for k in (0, 1)]
+        top_best = [stack_best[k][low[k] : heights[k]].tolist() for k in (0, 1)]
         for i, t, best in zip(range(s, e), push, pre):
             own = i & 1
             for b in top_best[own ^ 1]:
@@ -538,28 +550,12 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan | None]:
             del top_best[own][t - low[own] :]
             top_best[own].append(best)
         if e < m:
-            if not replay_tops:
-                k1 = k0 + len(top_best[0])
-                top_c = (plan.kept[k0:k1], plan.kept[k1 : k1 + len(top_best[1])])
             for k in (0, 1):
-                h = low[k] + len(top_best[k])
-                stack_c[k][low[k] : h] = top_c[k]
-                stack_best[k][low[k] : h] = top_best[k]
+                heights[k] = low[k] + len(top_best[k])
+                stack_c[k][low[k] : heights[k]] = kept[k]
+                stack_best[k][low[k] : heights[k]] = top_best[k]
         s = e
-        row += 7
-    if plan is None and keep:
-        blocks += (m, *map(len, mirrors), 0, 0, n_args, len(kept))
-        plan = _StarPlan(
-            c,
-            np.array(blocks, dtype=np.int32),
-            np.array(pushes, dtype=np.int32),
-            None if parts is None else np.concatenate(parts) if parts else np.empty(0),
-            None if parts is None else np.array(kept, dtype=np.float64),
-        )
-        for a in plan:
-            if a is not None:
-                a.flags.writeable = False
-    return float(best), plan
+    return float(best), plans[0] if plans else None
 
 
 def var_phi(path: PricePath, phi: VariationFunctional) -> float:
@@ -597,12 +593,13 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     block that reads it, and one gauge call scores them all.  That replay
     and the gauge arguments it leads to depend on the prices only: the first
     star-shaped gauge on a path of more than one block keeps them on the
-    path as a private :class:`_StarPlan`, and every later one re-scores
-    that plan, which takes about half the time of a first call.  Other gauges
-    take :func:`_mesh_dp` with one unconstrained window and one row per run
-    of equal prices (:func:`_level_heads`), bit-identical to the DP over
-    every sample; it drops dominated left ends when the table is certified
-    nondecreasing (:func:`_dp_until`), and is O(n^2) otherwise.
+    path as a private :class:`_StarPlan` (unless they pass
+    :data:`_STAR_PLAN_TOPS` a point), and every later one re-scores it in
+    about half the time of a first call.  Other gauges take :func:`_mesh_dp`
+    with one unconstrained window and one row per run of equal prices
+    (:func:`_level_heads`), bit-identical to the DP over every sample; it
+    drops dominated left ends when the table is certified nondecreasing
+    (:func:`_dp_until`), and is O(n^2) otherwise.
 
     The path also keeps each value returned, by gauge, in a private dict:
     a gauge equal to one scored before on the same path (gauges are frozen

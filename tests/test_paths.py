@@ -86,8 +86,10 @@ class TestMakePath:
         assert p.value_at(0.1) == 1.0
         assert p.value_at(0.25) == 2.0
         assert p.value_at(1.0) == 3.0
-        with pytest.raises(BadTimeGrid):
-            p.value_at(1.5)
+        assert p.value_at([0.1, 1.0]).tolist() == [1.0, 3.0]
+        for t in (1.5, -0.1, math.nan, [0.2, math.nan], [math.nan, 1.5]):
+            with pytest.raises(BadTimeGrid):
+                p.value_at(t)
 
 
 class TestPricePathValidation:

@@ -786,6 +786,13 @@ def star_plan(path):
     return path.__dict__["_star_plan"]
 
 
+def signed(y):
+    """The turning points ``y`` with the minima negated, as the star DP takes them."""
+    c = y.copy()
+    c[int(y[1] < y[0]) :: 2] *= -1.0
+    return c
+
+
 class TestStarPlan:
     """The first star-shaped gauge on a path keeps the DP's value-only half
     on it; every later one re-scores that plan, with the same floats."""
@@ -838,12 +845,30 @@ class TestStarPlan:
         gauges = (VariationFunctional.power(2.5), VariationFunctional.taylor_psi())
         assert_rescores_identical(drift_with_reversals(3001), gauges, [[0, 1], [1, 0]])
 
-    def test_a_plan_without_its_tops_replays_them(self):
+    def test_a_path_past_the_tops_cap_keeps_no_plan(self):
         path = converging_then_expanding(1024)
         twin = copy_of(path)
-        var_phi(twin, STAR_GAUGES[0])
-        assert star_plan(twin).args is None and star_plan(twin).kept is None
+        var_phi(twin, VariationFunctional.power(2.5))
+        assert "_star_plan" not in vars(twin)
         assert_rescores_identical(path, STAR_GAUGES, each_first(len(STAR_GAUGES)))
+
+    def test_the_reader_yields_the_producers_records(self, monkeypatch):
+        monkeypatch.setattr(variation, "_STAR_PLAN_TOPS", math.inf)  # small drifts pass the cap
+        paths = [generate(GeneratorSpec(n_samples=4097, seed=5, **spec)) for spec in VARIATION_LONG_SPECS]
+        paths += [drift_with_reversals(m) for m in STAR_EDGE_COUNTS + (3001,)]
+        ys = [turning_points(path.values) for path in paths]
+        for m in STAR_EDGE_COUNTS:
+            ys.append(turning_points(np.exp(np.cumsum(np.random.default_rng(m).normal(0.0, 0.3, size=8 * m))))[:m])
+        for y in ys:
+            c = signed(y)
+            plans = []
+            produced = list(variation._recorded(variation._star_blocks(c), c, plans))
+            read = list(plans[0].records())
+            assert len(read) == len(produced)
+            for (e, low, push, args, kept), want in zip(read, produced):
+                assert e == want[0] and low == want[1] and push == want[2]
+                assert np.array_equal(args, want[3])
+                assert all(np.array_equal(k, w) for k, w in zip(kept, want[4], strict=True))
 
     def test_growth_profile_re_scores_the_full_resolution_level(self, monkeypatch):
         path = generate(GeneratorSpec(kind="exp-fractional", n_samples=1025, hurst=0.4, seed=2))
@@ -871,19 +896,20 @@ class TestStarPlan:
             converging_then_expanding(4096),
         ):
             var_phi(path, VariationFunctional.power(2.5))
-            m = turning_points(path.values).shape[0]
-            plan = star_plan(path)
+            y = turning_points(path.values)
+            m = y.shape[0]
+            plan = vars(path).get("_star_plan")
             var_phi(path, VariationFunctional.taylor_psi())
-            assert star_plan(path) is plan
-            arrays = [a for a in plan if a is not None]
-            assert all(isinstance(a, np.ndarray) and a.ndim == 1 and not a.flags.writeable for a in arrays)
-            c, blocks, push, args, kept = plan
-            assert c.shape == (m,) and push.shape == (m - 1,) and blocks.shape[0] % 7 == 0
-            assert blocks[-7] == m and blocks.shape[0] <= 7 * m
-            if args is None:  # too many tops a point to keep: only the zigzags
-                assert kept is None and blocks[-2] > variation._STAR_PLAN_TOPS * m
+            if plan is None:  # too many tops a point to keep: only the zigzags
+                tops = sum(record[3].shape[0] for record in variation._star_blocks(signed(y)))
+                assert "_star_plan" not in vars(path) and tops > variation._STAR_PLAN_TOPS * m
                 continue
-            assert blocks[-2] == args.shape[0] <= variation._STAR_PLAN_TOPS * m
+            assert star_plan(path) is plan
+            assert all(isinstance(a, np.ndarray) and a.ndim == 1 and not a.flags.writeable for a in plan)
+            c, blocks, push, args, kept = plan
+            assert c.shape == (m,) and push.shape == (m - 1,) and blocks.shape[0] % 6 == 0
+            assert blocks[-6] == m and blocks.shape[0] <= 6 * m
+            assert blocks[-3] == args.shape[0] <= variation._STAR_PLAN_TOPS * m
             assert blocks[-1] == kept.shape[0]
             # the entries written back are the tops read or points pushed
             assert kept.shape[0] <= args.shape[0] + m

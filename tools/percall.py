@@ -27,9 +27,13 @@ construction, about 1% of the call, included); ``var_phi`` with psi on a new
 earlier p = 2.5 call kept on the scored path (a tree that keeps that plan
 re-scores it; one that keeps values per gauge finds none on the new path);
 ``var_phi`` with p = 2.5 again on the scored path (a tree that keeps values
-per gauge returns the kept one); and ``variation_growth_profile`` at p = 2.5
+per gauge returns the kept one); ``variation_growth_profile`` at p = 2.5
 on variation-long's grid N = 256, 1024 and 4096 on the scored path, whose
-level N = 4096 is the path itself.
+level N = 4096 is the path itself; and ``var_phi`` with p = 3 the same way
+as psi above, after p = 2.5, on a 4096-sample zigzag whose swings narrow
+and widen over 64 turning points (the tests' ``converging_then_expanding``):
+its points read more stack tops than a plan keeps, so a tree that caps the
+plan keeps none there and runs a first call.
 Standard library and numpy only; BLAS threads are pinned to 1.
 """
 
@@ -134,22 +138,30 @@ def cases(rm, out_dir: str) -> dict:
     frac = rm.generate(spec)
     p25, psi_gauge = rm.VariationFunctional.power(2.5), rm.VariationFunctional.taylor_psi()
     out["var_phi.new_path.n4097"] = lambda: rm.var_phi(rm.PricePath(frac.times, frac.values), p25)
-    rm.var_phi(frac, p25)
-    plan = frac.__dict__.get("_star_plan")
 
-    def second_gauge():
-        # a new path that carries the DP plan the p = 2.5 call kept and no
-        # values, so a tree that keeps values per gauge re-scores it as well
-        fresh = rm.PricePath(frac.times, frac.values)
-        if plan is not None:
-            object.__setattr__(fresh, "_star_plan", plan)
-        return rm.var_phi(fresh, psi_gauge)
+    def second_gauge(scored, gauge):
+        # a new path that carries the DP plan a p = 2.5 call kept on scored,
+        # and no values, so a tree that keeps values per gauge re-scores it too
+        rm.var_phi(scored, p25)
+        plan = scored.__dict__.get("_star_plan")
 
-    out["var_phi.second_gauge.n4097"] = second_gauge
+        def call():
+            fresh = rm.PricePath(scored.times, scored.values)
+            if plan is not None:
+                object.__setattr__(fresh, "_star_plan", plan)
+            return rm.var_phi(fresh, gauge)
+
+        return call
+
+    out["var_phi.second_gauge.n4097"] = second_gauge(frac, psi_gauge)
     out["var_phi.repeat.n4097"] = lambda: rm.var_phi(frac, p25)
     out["variation_growth_profile.n4097"] = lambda: rm.variation_growth_profile(
         frac, [2.5], (256, 1024, 4096)
     )
+    cycle = np.arange(4096) % 128
+    swing = np.where(cycle < 64, 64 - cycle, cycle - 63) * np.where(np.arange(4096) % 2, -1.0, 1.0)
+    zigzag = rm.PricePath(np.linspace(0.0, 1.0, 4096), 4.0 + swing * 2.0**-10)
+    out["var_phi.second_gauge.zigzag.n4096"] = second_gauge(zigzag, rm.VariationFunctional.power(3.0))
 
     rng = np.random.default_rng(5)
     position = rng.normal(size=91)
