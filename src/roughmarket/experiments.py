@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .errors import CaseFailure, ConfigError, NonFiniteResult, UnknownSeries
 from .mixtures import run_mixture, verify_prop3_bound, volatility_mixture
-from .paths import MAX_SAMPLES, GeneratorSpec, PricePath, _write_file, generate
+from .paths import MAX_SAMPLES, GeneratorSpec, PricePath, _is_number, _write_file, generate
 from .strategies import (
     AUDIT_STRATEGIES,
     audit_strategy,
@@ -71,19 +71,18 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False)  # cano
 
 
 def _param(params: dict, key: str, cast, default, minimum=None, maximum=None):
-    """``params[key]`` (or ``default``) converted by ``cast``, elementwise
-    when ``default`` is a list; :class:`ConfigError` when that fails or a
-    scalar lies outside [minimum, maximum]."""
+    """``params[key]`` (or ``default``) converted by ``cast``, ``int`` or
+    ``float``, elementwise when ``default`` is a list; :class:`ConfigError`
+    unless each value is a number (an integer for ``int``; ``bool`` is not),
+    or when a scalar lies outside [minimum, maximum]."""
     value = params.get(key, default)
-    try:
-        if isinstance(default, list):
-            if not isinstance(value, list) or not value:
-                raise TypeError("need a nonempty list")
-            out = [cast(v) for v in value]
-        else:
-            out = cast(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"params.{key} = {value!r}: {e}") from e
+    many = isinstance(default, list)
+    if many and (not isinstance(value, list) or not value):
+        raise ConfigError(f"params.{key} = {value!r}: need a nonempty list")
+    for v in value if many else (value,):  # a plain int or float needs no _is_number
+        if type(v) is not cast and not _is_number(v, integral=cast is int):
+            raise ConfigError(f"params.{key} = {value!r}: need {cast.__name__} values")
+    out = [cast(v) for v in value] if many else cast(value)
     if minimum is not None and out < minimum:
         raise ConfigError(f"params.{key} must be >= {minimum}, got {value!r}")
     if maximum is not None and out > maximum:
@@ -359,27 +358,6 @@ def _case_prop1(seed: int, params: dict) -> dict:
     }
 
 
-def _case_prop3(key: tuple, params: dict) -> dict:
-    seed, eps, delta, n_steps = key
-    gen = dict(params.get("generator_base", _DEFAULT_GENERATOR))
-    gen.setdefault("n_samples", max(int(n_steps) + 1, 1025))
-    spec = GeneratorSpec(seed=seed, **gen)
-    path = generate(spec)
-    j_max = None if params.get("j_max") is None else _param(params, "j_max", int, None)
-    rep = verify_prop3_bound(path, eps, delta, n_steps, j_policy=j_max, raise_on_violation=False)
-    return {
-        "case": f"prop3-{seed:06d}-e{eps:g}-d{delta:g}-N{n_steps}",
-        "eps": eps,
-        "delta": delta,
-        "N": n_steps,
-        "s0": rep.s0,
-        "s_t": rep.s_t,
-        "rhs": rep.rhs,
-        "margin": rep.margin,
-        "pass": bool(rep.passed),
-    }
-
-
 def _case_upper_prob(eps: float, params: dict) -> dict:
     n = _param(params, "n_samples", int, 101)
     # keep 1 + eps*T strictly positive across the default slope table
@@ -422,19 +400,7 @@ def run_experiment(config: ExperimentConfig, raise_on_failure: bool = False) -> 
     if config.kind == "growth-profile":
         cases, series = _growth_profile(config)
     elif config.kind == "prop3-check":
-        eps_grid = _param(params, "eps", float, [0.5, 1.0])
-        delta_grid = _param(params, "delta", float, [0.5, 1.0])
-        n_grid = _param(params, "N", int, [64, 256])
-        check_dp_samples(max(n_grid) + 1)  # before generating that many samples
-        if config.generator:
-            params = dict(params, generator_base=config.generator)
-        cases = [
-            _case_prop3((s, e, d, n), params)
-            for s in config.seeds
-            for e in eps_grid
-            for d in delta_grid
-            for n in n_grid
-        ]
+        cases, series = _prop3_check(config)
     elif config.kind == "upper-prob-table":
         eps_grid = _param(params, "eps", float, [-1.0, -0.5, 0.5, 1.0])
         cases = [_case_upper_prob(e, params) for e in eps_grid]
@@ -450,8 +416,6 @@ def run_experiment(config: ExperimentConfig, raise_on_failure: bool = False) -> 
 
     if config.kind == "upper-prob-table":
         series["upper_prob"] = [[c["eps"], c["value"]] for c in cases]
-    if config.kind == "prop3-check":
-        series["margin"] = [[c["N"], c["margin"]] for c in cases]
 
     n_failed = sum(0 if c["pass"] else 1 for c in cases)
     report = RunReport(
@@ -467,15 +431,58 @@ def run_experiment(config: ExperimentConfig, raise_on_failure: bool = False) -> 
     return report
 
 
+def _generated_paths(config: ExperimentConfig, seed: int, sizes) -> dict:
+    """size -> ``seed``'s path with that many samples, for each of ``sizes``,
+    from ``config.generator`` (the default generator when that is empty or
+    absent).  A generator that sets ``n_samples`` makes one path, which every
+    size maps to; equal sizes share one path too."""
+    # a generator without a kind gets kind None, which generate refuses
+    fields = {"kind": None, **(config.generator or _DEFAULT_GENERATOR), "seed": seed}
+    if "n_samples" in fields:
+        return dict.fromkeys(sizes, generate(GeneratorSpec(**fields)))
+    return {n: generate(GeneratorSpec(n_samples=n, **fields)) for n in dict.fromkeys(sizes)}
+
+
+def _prop3_check(config: ExperimentConfig) -> tuple[list[dict], dict]:
+    params = config.params
+    eps_grid = _param(params, "eps", float, [0.5, 1.0])
+    delta_grid = _param(params, "delta", float, [0.5, 1.0])
+    n_grid = _param(params, "N", int, [64, 256])
+    j_max = None if params.get("j_max") is None else _param(params, "j_max", int, None)
+    check_dp_samples(max(n_grid) + 1)  # before generating that many samples
+    cases = []
+    for seed in config.seeds:
+        paths = _generated_paths(config, seed, [max(n + 1, 1025) for n in n_grid])
+        for eps, delta, n_steps in itertools.product(eps_grid, delta_grid, n_grid):
+            path = paths[max(n_steps + 1, 1025)]
+            rep = verify_prop3_bound(
+                path, eps, delta, n_steps, j_policy=j_max, raise_on_violation=False
+            )
+            cases.append(
+                {
+                    "case": f"prop3-{seed:06d}-e{eps:g}-d{delta:g}-N{n_steps}",
+                    "eps": eps,
+                    "delta": delta,
+                    "N": n_steps,
+                    "s0": rep.s0,
+                    "s_t": rep.s_t,
+                    "rhs": rep.rhs,
+                    "margin": rep.margin,
+                    "pass": bool(rep.passed),
+                }
+            )
+    cases.sort(key=lambda c: c["case"])
+    return cases, {"margin": [[c["N"], c["margin"]] for c in cases]}
+
+
 def _growth_profile(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
     p_grid = _param(params, "p", float, [1.5, 2.0, 2.5, 3.0])
     n_grid = _param(params, "N", int, [256, 1024, 4096])
     check_dp_samples(max(n_grid) + 1)  # before generating that many samples
-    gen = dict(config.generator or _DEFAULT_GENERATOR)
-    gen.setdefault("n_samples", max(n_grid) + 1)
+    size = max(n_grid) + 1
     tables = [
-        variation_growth_profile(generate(GeneratorSpec(seed=seed, **gen)), p_grid, n_grid)
+        variation_growth_profile(_generated_paths(config, seed, [size])[size], p_grid, n_grid)
         for seed in config.seeds
     ]
     cases = []

@@ -199,8 +199,8 @@ _REAL_FIELDS = (
 
 def _is_number(x, integral: bool = False) -> bool:
     kinds = (int, np.integer) if integral else (int, float, np.integer, np.floating)
-    if isinstance(x, int) and not integral and abs(x) >= 2**1024:
-        return False  # a JSON integer beyond float64's range
+    if isinstance(x, int) and not integral and abs(x) >= 2**1024 - 2**970:
+        return False  # a JSON integer that float() rounds to 2^1024, past float64's range
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 

@@ -282,6 +282,88 @@ class TestReportDeterminism:
             emit_plot_data(rep, "nope")
 
 
+PINNED_GENERATOR = {"kind": "exp-fractional", "hurst": 0.4, "sigma": 0.5}
+# sha256 (first 16 hex digits) of report.json and of cases.csv, recorded before
+# prop3-check built one path per seed and sample count; default params
+REPORTS = [
+    ("oracle-suite", (1,), None, "cb1c28990046390a", "5e3db651e2cfa39d"),
+    ("oracle-suite", (2, 3), None, "4575558083b06b21", "ed1bf4d7554054ce"),
+    ("doob-suite", (1,), None, "3bbd45b9a8c93677", "4fbdf7e5fd61c2bf"),
+    ("doob-suite", (2, 3), None, "40fc3e2213c4a7d7", "294bff6874a6f057"),
+    ("prop1-check", (1,), None, "62b196894a68d1d7", "de7b9f01edd10b27"),
+    ("prop1-check", (2, 3), None, "7d9cee41c4937fbe", "d88fe1756bbeb8ea"),
+    ("prop3-check", (1,), None, "9ea94844a679095c", "d8c9fc67d6bbb5d7"),
+    ("prop3-check", (2, 3), None, "9abb56db636431a4", "1d8230f2883a5dda"),
+    ("upper-prob-table", (1,), None, "3cd9140d4db532b4", "10e01b732b256001"),
+    ("upper-prob-table", (2, 3), None, "6b602e295c1c2af7", "10e01b732b256001"),
+    ("growth-profile", (1,), None, "0cbcc471bc2a34fc", "eabfaec0c795c29e"),
+    ("growth-profile", (2, 3), None, "f2c73a0b324d9689", "5572a40c005083cf"),
+    ("borrow-audit", (1,), None, "619c8f30574b7a05", "5826cff176f7e5a4"),
+    ("borrow-audit", (2, 3), None, "ee4e7db7c937ac30", "6ae37ee8934c07ee"),
+    ("prop3-check", (2, 3), PINNED_GENERATOR, "cbb59d22f9fc48bb", "a942dea4bc36a66a"),
+    ("prop3-check", (2, 3), dict(PINNED_GENERATOR, n_samples=513), "4b5742b830618001", "a4d63e9850fe2c79"),
+    ("growth-profile", (2, 3), PINNED_GENERATOR, "f3b9a8028a175330", "c70a6eb57f9432c3"),
+    ("growth-profile", (2, 3), dict(PINNED_GENERATOR, n_samples=2049), "50dc0aa2187b073d", "9219ae74a33fa552"),
+]
+
+
+class TestReportPins:
+    @pytest.mark.parametrize(
+        "kind, seeds, generator, report_digest, cases_digest",
+        REPORTS,
+        ids=[f"{k}-{'-'.join(map(str, s))}-{g and g.get('n_samples', 'gen')}" for k, s, g, _, _ in REPORTS],
+    )
+    def test_files_are_unchanged(self, tmp_path, kind, seeds, generator, report_digest, cases_digest):
+        write_report(run_experiment(ExperimentConfig(kind=kind, seeds=seeds, generator=generator)), tmp_path)
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in ("report.json", "cases.csv")
+        ]
+        assert digests == [report_digest, cases_digest]
+
+
+class TestGeneratedPaths:
+    def test_prop3_builds_one_path_per_seed_and_sample_count(self, monkeypatch):
+        sizes = []
+        build = experiments.generate
+        monkeypatch.setattr(experiments, "generate", lambda spec: sizes.append(spec.n_samples) or build(spec))
+        run_experiment(ExperimentConfig(kind="prop3-check", seeds=(1, 2, 3)))
+        assert sizes == [1025] * 3
+        sizes.clear()
+        run_experiment(ExperimentConfig(kind="prop3-check", seeds=(1, 2), params={"N": [16, 1024, 2048, 64]}))
+        assert sizes == [1025, 2049] * 2
+        sizes.clear()
+        config = ExperimentConfig(
+            kind="prop3-check",
+            seeds=(1, 2),
+            params={"N": [16, 2048]},
+            generator=dict(PINNED_GENERATOR, n_samples=129),
+        )
+        run_experiment(config)
+        assert sizes == [129] * 2
+
+    def test_growth_profile_builds_one_path_per_seed(self, monkeypatch):
+        sizes = []
+        build = experiments.generate
+        monkeypatch.setattr(experiments, "generate", lambda spec: sizes.append(spec.n_samples) or build(spec))
+        run_experiment(ExperimentConfig(kind="growth-profile", seeds=(1, 2, 3), params={"N": [16, 64]}))
+        assert sizes == [65] * 3
+
+    @pytest.mark.parametrize("kind", ["prop3-check", "growth-profile"])
+    @pytest.mark.parametrize("generator_base", [{"bogus": 1}, "x", {"kind": "constant", "n_samples": 5}])
+    def test_a_generator_base_param_is_ignored(self, tmp_path, kind, generator_base):
+        # config.generator is the only generator input; the report echoes the key
+        plain = ExperimentConfig(kind=kind, seeds=(1,), params={"N": [16, 64]})
+        config = dict(plain.to_dict())
+        config["params"] = dict(plain.params, generator_base=generator_base)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_bytes())
+        assert report["config"]["params"].pop("generator_base") == generator_base
+        assert report == json.loads(report_canonical_bytes(run_experiment(plain)))
+
+
 @pytest.fixture
 def sample_csv(tmp_path):
     path = generate(GeneratorSpec(kind="exp-fractional", n_samples=129, hurst=0.5, sigma=0.5, seed=3))
@@ -467,6 +549,11 @@ MALFORMED = {
         ["generate"],
         {"kind": "constant", "n_samples": 3, "horizon": 10**400},
     ),
+    # one that float() rounds up to 2^1024
+    "spec-horizon-integer-rounds-up": (
+        ["generate"],
+        {"kind": "constant", "n_samples": 3, "horizon": 2**1024 - 2**970},
+    ),
     # the embedding's eigenvalues go materially negative; a dense fallback
     # would ask for a 262144 x 262144 index array
     "spec-fractional-embedding-not-positive": (
@@ -491,10 +578,20 @@ MALFORMED = {
             "generator": {"kind": "jump", "n_samples": 65, "horizon": math.nan},
         },
     ),
-    # rng.integers cannot draw a sample count past int64
+    # a float stops at the integer check; each float's integer twin (10**30,
+    # 10**300) passes it and meets the check past it
     "run-oracle-max-samples-huge": (
         ["run"],
         {"kind": "oracle-suite", "seeds": [1], "params": {"max_samples": 1e30}},
+    ),
+    "run-oracle-max-samples-huge-integer": (
+        ["run"],
+        {"kind": "oracle-suite", "seeds": [1], "params": {"max_samples": 10**30}},
+    ),
+    # integer params take integers only, as the API does: no text, float or bool
+    "run-oracle-max-samples-text-number": (
+        ["run"],
+        {"kind": "oracle-suite", "seeds": [1], "params": {"max_samples": "12"}},
     ),
     "run-oracle-max-samples-above-oracle-limit": (
         ["run"],
@@ -504,17 +601,39 @@ MALFORMED = {
         ["run"],
         {"kind": "doob-suite", "seeds": [1], "params": {"max_samples": 1e30}},
     ),
+    "run-doob-max-samples-huge-integer": (
+        ["run"],
+        {"kind": "doob-suite", "seeds": [1], "params": {"max_samples": 10**30}},
+    ),
     "run-prop1-max-samples-huge": (
         ["run"],
         {"kind": "prop1-check", "seeds": [1], "params": {"max_samples": 1e30}},
+    ),
+    "run-prop1-max-samples-huge-integer": (
+        ["run"],
+        {"kind": "prop1-check", "seeds": [1], "params": {"max_samples": 10**30}},
     ),
     "run-borrow-max-samples-huge": (
         ["run"],
         {"kind": "borrow-audit", "seeds": [1], "params": {"max_samples": 1e30}},
     ),
+    "run-borrow-max-samples-huge-integer": (
+        ["run"],
+        {"kind": "borrow-audit", "seeds": [1], "params": {"max_samples": 10**30}},
+    ),
     # 2^63 cells overflow the int64 cell counts; 2.0**1e300 overflows float64
     "run-prop1-L-63": (["run"], {"kind": "prop1-check", "seeds": [1], "params": {"L": 63}}),
     "run-prop1-L-huge": (["run"], {"kind": "prop1-check", "seeds": [1], "params": {"L": 1e300}}),
+    "run-prop1-L-huge-integer": (
+        ["run"],
+        {"kind": "prop1-check", "seeds": [1], "params": {"L": 10**300}},
+    ),
+    "run-prop1-L-bool": (["run"], {"kind": "prop1-check", "seeds": [1], "params": {"L": True}}),
+    # float() rounds this integer up to 2^1024, past float64's range
+    "run-prop1-p-integer-huge": (
+        ["run"],
+        {"kind": "prop1-check", "seeds": [1], "params": {"p": 2**1024 - 2**970}},
+    ),
     # the scale cut stepped down one scale at a time from j_max, summing big
     # cell counts; the budget's cut then has more bands than band_count allows
     "run-prop1-j-max-30000": (
@@ -524,6 +643,10 @@ MALFORMED = {
     "run-prop1-j-max-huge": (
         ["run"],
         {"kind": "prop1-check", "seeds": [1], "params": {"j_max": 1e300}},
+    ),
+    "run-prop1-j-max-huge-integer": (
+        ["run"],
+        {"kind": "prop1-check", "seeds": [1], "params": {"j_max": 10**300}},
     ),
     "run-eps-negative": (
         ["run"],
@@ -535,6 +658,10 @@ MALFORMED = {
         {"kind": "oracle-suite", "seeds": [1], "params": {"max_samples": "x"}},
     ),
     "run-grid-not-list": (["run"], {"kind": "prop3-check", "seeds": [1], "params": {"N": 64}}),
+    "run-prop3-N-not-integer": (
+        ["run"],
+        {"kind": "prop3-check", "seeds": [1], "params": {"N": [16.5]}},
+    ),
     "run-prop3-N-above-dp-limit": (
         ["run"],
         {"kind": "prop3-check", "seeds": [1], "params": {"N": [70000]}},
@@ -564,6 +691,14 @@ MALFORMED = {
             "params": {"N": [16, 64]},
             "generator": {"kind": "jump", "n_samples": 10**10},
         },
+    ),
+    "run-prop3-generator-without-kind": (
+        ["run"],
+        {"kind": "prop3-check", "seeds": [1], "params": {"N": [16]}, "generator": {"hurst": 0.4}},
+    ),
+    "run-growth-generator-without-kind": (
+        ["run"],
+        {"kind": "growth-profile", "seeds": [1], "params": {"N": [16]}, "generator": {"n_samples": 17}},
     ),
     "run-generator-unknown-field": (
         ["run"],

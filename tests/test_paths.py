@@ -216,6 +216,7 @@ class TestGeneratePins:
             dict(level=np.float32(1.5)),
             dict(start=np.int8(1)),
             dict(eps=2**1023),
+            dict(eps=2**1024 - 2**970 - 1),  # float() rounds it down to float64's largest
             dict(values=(1.0, 2, np.float32(0.5), 2**1023)),
         ]
         for fields in ok:
@@ -227,6 +228,8 @@ class TestGeneratePins:
             (dict(horizon=False), "horizon must be a number, got False"),
             (dict(level="1"), "level must be a number, got '1'"),
             (dict(eps=2**1024), f"eps must be a number, got {2**1024}"),
+            # float() rounds it up to 2^1024, and raises OverflowError
+            (dict(horizon=2**1024 - 2**970), f"horizon must be a number, got {2**1024 - 2**970}"),
             (dict(jump_sigma=None), "jump_sigma must be a number, got None"),
             (dict(n_samples=3.5, horizon="x"), "n_samples must be an integer, got 3.5"),
             (dict(values=(1.0, True)), "values must hold numbers only"),

@@ -15,7 +15,8 @@ prints one JSON object of tree -> name -> microseconds instead of the table.
 
 Timed: ``PricePath`` construction at 12, 66, 1025 and 4097 samples;
 ``generate`` for each generator kind at 101 samples; ``canonical_json`` and
-``write_report`` on the five short-suite reports (seed 1); ``run_mixture``
+``write_report`` on the five short-suite reports (seed 1); ``run_experiment``
+of prop3-check on seeds 1, 2 and 3 with its default grid; ``run_mixture``
 and ``verify_prop3_bound`` on a prop3-long-like path (4097 exp-fractional
 samples on a 2^-16 tick, eps = delta = 0.5) at N = 1, 64, 256 and 1024;
 ``run_mixture`` of ``unboundedness_mixture(1023)`` and of a crossing
@@ -109,6 +110,9 @@ def cases(rm, out_dir: str) -> dict:
         target = os.path.join(out_dir, rm.__name__, kind)
         out[f"canonical_json.{kind}"] = lambda p=payload: experiments.canonical_json(p)
         out[f"write_report.{kind}"] = lambda r=report, d=target: rm.write_report(r, d)
+
+    prop3 = rm.ExperimentConfig(kind="prop3-check", seeds=(1, 2, 3))
+    out["run_experiment.prop3-check.s3"] = lambda: rm.run_experiment(prop3)
 
     spec = rm.GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.5, sigma=0.5, seed=7)
     path = rm.generate(spec)
