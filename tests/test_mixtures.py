@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import time
 import warnings
 from collections import Counter
 
@@ -18,6 +19,7 @@ from roughmarket import (
     doob_strategy,
     generate,
     grid_crossings,
+    make_path,
     run_mixture,
     run_simple,
     unboundedness_mixture,
@@ -280,6 +282,25 @@ class TestVolatilityMixtureConstruction:
         # that steps down one scale at a time
         assert _resolve_scale_cut(10**300, None, 0, [(0, 0)]) == 24
         assert _resolve_scale_cut(10**300, None, 0, [(5, 0)]) == 19
+
+    def test_a_huge_sup_resolves_its_cut_at_once(self):
+        # L_top = 499 puts the floor at -497, and the budget steps the cut
+        # down from 26 to -476, with 500 classes to count at every step
+        path = make_path([0, 0.5, 1], [1, 1 + 2**-20, 1e150], 1.0)
+        t0 = time.perf_counter()
+        report = verify_prop3_bound(path, 0.01, 0.01, 2)
+        assert time.perf_counter() - t0 < 0.5
+        assert report.scale_cut == -476
+
+    @pytest.mark.parametrize(
+        "class_lows",
+        [[(0, 0)], [(5, 0)], [(L, 2 - L) for L in range(4)], [(L, 2 - L) for L in range(9)], [(3, -3), (0, 5)]],
+        ids=str,
+    )
+    def test_cell_count_is_the_explicit_sum(self, class_lows):
+        for cut in range(-12, 16):
+            explicit = sum(1 << (L + j) for L, j_lo in class_lows for j in range(j_lo, cut + 1))
+            assert mixtures._n_cells(class_lows, cut) == explicit
 
     def test_prop1_level_past_int64_rejected(self):
         with pytest.raises(TooLarge):

@@ -852,23 +852,36 @@ class TestStarPlan:
         assert "_star_plan" not in vars(twin)
         assert_rescores_identical(path, STAR_GAUGES, each_first(len(STAR_GAUGES)))
 
-    def test_the_reader_yields_the_producers_records(self, monkeypatch):
+    def test_the_plan_keeps_the_producers_records_as_yielded(self, monkeypatch):
         monkeypatch.setattr(variation, "_STAR_PLAN_TOPS", math.inf)  # small drifts pass the cap
         paths = [generate(GeneratorSpec(n_samples=4097, seed=5, **spec)) for spec in VARIATION_LONG_SPECS]
-        paths += [drift_with_reversals(m) for m in STAR_EDGE_COUNTS + (3001,)]
-        ys = [turning_points(path.values) for path in paths]
-        for m in STAR_EDGE_COUNTS:
-            ys.append(turning_points(np.exp(np.cumsum(np.random.default_rng(m).normal(0.0, 0.3, size=8 * m))))[:m])
-        for y in ys:
-            c = signed(y)
-            plans = []
-            produced = list(variation._recorded(variation._star_blocks(c), c, plans))
-            read = list(plans[0].records())
-            assert len(read) == len(produced)
-            for (e, low, push, args, kept), want in zip(read, produced):
-                assert e == want[0] and low == want[1] and push == want[2]
-                assert np.array_equal(args, want[3])
-                assert all(np.array_equal(k, w) for k, w in zip(kept, want[4], strict=True))
+        multi_block = [m for m in STAR_EDGE_COUNTS if m > _STAR_ROWS + 1]
+        paths += [drift_with_reversals(m) for m in multi_block + [3001]]
+        for m in multi_block:
+            walk = np.exp(np.cumsum(np.random.default_rng(m).normal(0.0, 0.3, size=8 * m)))
+            paths.append(step_path(turning_points(walk)[:m]))
+        star_blocks = variation._star_blocks
+        for path in paths:
+            yielded, at_yield = [], []
+
+            def spy(c):
+                for record in star_blocks(c):
+                    yielded.append(record)
+                    at_yield.append(copy.deepcopy(record))
+                    yield record
+
+            monkeypatch.setattr(variation, "_star_blocks", spy)
+            for phi in STAR_GAUGES:
+                var_phi(path, phi)
+            c, records = star_plan(path)
+            assert np.array_equal(c, signed(turning_points(path.values)))
+            # the producer ran once, and the plan holds its own records, in order
+            assert len(records) == len(yielded) > 1
+            assert all(kept is record for kept, record in zip(records, yielded))
+            # and no scoring changed one after it was yielded
+            for (e, low, push, args, tops), want in zip(records, at_yield):
+                assert (e, low, push, tops) == (want[0], want[1], want[2], want[4])
+                assert args.dtype == want[3].dtype and args.tobytes() == want[3].tobytes()
 
     def test_growth_profile_re_scores_the_full_resolution_level(self, monkeypatch):
         path = generate(GeneratorSpec(kind="exp-fractional", n_samples=1025, hurst=0.4, seed=2))
@@ -879,7 +892,7 @@ class TestStarPlan:
         star_dp = variation._star_dp
 
         def spy(y, gauge):
-            fresh.append(not isinstance(y, variation._StarPlan))
+            fresh.append(isinstance(y, np.ndarray))
             return star_dp(y, gauge)
 
         monkeypatch.setattr(variation, "_star_dp", spy)
@@ -889,7 +902,7 @@ class TestStarPlan:
         assert fresh == [True, True, False, False]
         assert star_plan(path) is plan
 
-    def test_the_plan_is_flat_read_only_and_linear(self):
+    def test_the_plan_is_linear(self):
         for path in (
             generate(GeneratorSpec(kind="exp-fractional", n_samples=4097, hurst=0.4, sigma=0.5, seed=1)),
             drift_with_reversals(4097),
@@ -905,14 +918,13 @@ class TestStarPlan:
                 assert "_star_plan" not in vars(path) and tops > variation._STAR_PLAN_TOPS * m
                 continue
             assert star_plan(path) is plan
-            assert all(isinstance(a, np.ndarray) and a.ndim == 1 and not a.flags.writeable for a in plan)
-            c, blocks, push, args, kept = plan
-            assert c.shape == (m,) and push.shape == (m - 1,) and blocks.shape[0] % 6 == 0
-            assert blocks[-6] == m and blocks.shape[0] <= 6 * m
-            assert blocks[-3] == args.shape[0] <= variation._STAR_PLAN_TOPS * m
-            assert blocks[-1] == kept.shape[0]
+            c, records = plan
+            assert c.shape == (m,) and len(records) <= m - 1
+            assert records[-1][0] == m
+            n_args = sum(args.shape[0] for _, _, _, args, _ in records)
+            assert n_args <= variation._STAR_PLAN_TOPS * m
             # the entries written back are the tops read or points pushed
-            assert kept.shape[0] <= args.shape[0] + m
+            assert sum(len(k) for *_, kept in records for k in kept) <= n_args + m
 
     @pytest.mark.parametrize("m", (2, 3, _STAR_ROWS, _STAR_ROWS + 1, _STAR_ROWS + 2))
     def test_one_block_keeps_no_plan(self, m):
@@ -926,7 +938,7 @@ class TestStarPlan:
         if m <= _STAR_ROWS + 1:
             assert plan is None and "_star_plan" not in vars(path)
         else:
-            assert isinstance(star_plan(path), variation._StarPlan)
+            assert "_star_plan" in vars(path)
             assert variation._star_dp(plan, gauge) == (value, plan)
 
     def test_a_path_keeps_its_equality_repr_and_pickle(self):

@@ -34,7 +34,12 @@ level N = 4096 is the path itself; and ``var_phi`` with p = 3 the same way
 as psi above, after p = 2.5, on a 4096-sample zigzag whose swings narrow
 and widen over 64 turning points (the tests' ``converging_then_expanding``):
 its points read more stack tops than a plan keeps, so a tree that caps the
-plan keeps none there and runs a first call.
+plan keeps none there and runs a first call; and ``var_phi`` with p = 2.5
+on a new ``PricePath`` each call, then with psi the same way as above, on a
+4097-sample drift of ticks +2 and -1 (the tests' ``drift_with_reversals``),
+whose minima never pop: one stack grows to 2048 entries, and its 267
+blocks shrink to 8 turning points as it deepens, so a plan's cost per
+block shows there.
 Standard library and numpy only; BLAS threads are pinned to 1.
 """
 
@@ -166,6 +171,10 @@ def cases(rm, out_dir: str) -> dict:
     swing = np.where(cycle < 64, 64 - cycle, cycle - 63) * np.where(np.arange(4096) % 2, -1.0, 1.0)
     zigzag = rm.PricePath(np.linspace(0.0, 1.0, 4096), 4.0 + swing * 2.0**-10)
     out["var_phi.second_gauge.zigzag.n4096"] = second_gauge(zigzag, rm.VariationFunctional.power(3.0))
+    steps = np.where(np.arange(4096) % 2 == 0, 2.0, -1.0) * 2.0**-10
+    drift = rm.PricePath(np.linspace(0.0, 1.0, 4097), 1.0 + np.concatenate([[0.0], np.cumsum(steps)]))
+    out["var_phi.new_path.drift.n4097"] = lambda: rm.var_phi(rm.PricePath(drift.times, drift.values), p25)
+    out["var_phi.second_gauge.drift.n4097"] = second_gauge(drift, psi_gauge)
 
     rng = np.random.default_rng(5)
     position = rng.normal(size=91)
